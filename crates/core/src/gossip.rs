@@ -23,7 +23,7 @@ use aria_metrics::{MetricsCollector, TrafficClass};
 use aria_overlay::{builders, LatencyModel, Topology};
 use aria_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use aria_workload::{ArtModel, JobGenerator, ProfileGenerator, SubmissionSchedule};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 use crate::config::PolicyMix;
 
@@ -36,8 +36,64 @@ struct CacheEntry {
     observed_at: SimTime,
 }
 
-/// A gossip digest: a bounded set of the sender's freshest observations.
+/// A gossip digest: a bounded set of the sender's freshest observations,
+/// ordered by `(Reverse(observed_at), id)`.
 type Digest = Vec<(usize, CacheEntry)>;
+
+/// The order digests are kept in: freshest first, ties by lower id.
+fn digest_key(&(id, entry): &(usize, CacheEntry)) -> (Reverse<SimTime>, usize) {
+    (Reverse(entry.observed_at), id)
+}
+
+/// One node's view of the grid: its freshest observation of every node,
+/// dense by node id, plus the `digest_size` freshest of those, kept
+/// sorted so a gossip round sends it as is.
+///
+/// The digest is exact because an entry is only ever replaced by one at
+/// least as fresh: an entry outside the top k can re-enter only when its
+/// own key improves, and that goes through [`Cache::observe`] like every
+/// other update.
+#[derive(Debug, Clone)]
+struct Cache {
+    entries: Vec<Option<CacheEntry>>,
+    digest: Digest,
+}
+
+impl Cache {
+    fn new(nodes: usize) -> Self {
+        Cache { entries: vec![None; nodes], digest: Vec::new() }
+    }
+
+    /// Records `entry` as the observation of `node` (never staler than
+    /// the one it replaces) and keeps the digest the `digest_size`
+    /// smallest [`digest_key`]s of the cache, in O(`digest_size`).
+    fn observe(&mut self, node: usize, entry: CacheEntry, digest_size: usize) {
+        let old = self.entries[node].replace(entry);
+        debug_assert!(
+            old.is_none_or(|old| old.observed_at <= entry.observed_at),
+            "cache entries only get fresher"
+        );
+        let key = digest_key(&(node, entry));
+        let pos = self.digest.partition_point(|kept| digest_key(kept) < key);
+        // A kept old entry's key is no better than the new one, so it
+        // sits at or after `pos`: shift the run between them by one.
+        let kept = old.and_then(|_| self.digest[pos..].iter().position(|&(id, _)| id == node));
+        if let Some(offset) = kept {
+            self.digest[pos..=pos + offset].rotate_right(1);
+            self.digest[pos] = (node, entry);
+        } else if pos < digest_size {
+            if self.digest.len() == digest_size {
+                self.digest.pop();
+            }
+            self.digest.insert(pos, (node, entry));
+        }
+    }
+
+    /// The known nodes with their observations, in id order.
+    fn known(&self) -> impl Iterator<Item = (usize, CacheEntry)> + '_ {
+        self.entries.iter().enumerate().filter_map(|(id, entry)| entry.map(|e| (id, e)))
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -73,7 +129,7 @@ enum Event {
 pub struct GossipScheduler {
     profiles: Vec<NodeProfile>,
     queues: Vec<SchedulerQueue>,
-    caches: Vec<BTreeMap<usize, CacheEntry>>,
+    caches: Vec<Cache>,
     topology: Topology,
     events: EventQueue<Event>,
     metrics: MetricsCollector,
@@ -91,6 +147,9 @@ pub struct GossipScheduler {
     /// Scratch buffer for per-round neighbor sampling (reused so the
     /// gossip hot loop does not allocate).
     peers: Vec<aria_overlay::NodeId>,
+    /// Digest buffers whose delivery has been merged, reused by the next
+    /// gossip rounds so sending a digest does not allocate.
+    spare_digests: Vec<Digest>,
 }
 
 impl GossipScheduler {
@@ -121,7 +180,7 @@ impl GossipScheduler {
         let mut scheduler = GossipScheduler {
             profiles,
             queues,
-            caches: vec![BTreeMap::new(); nodes],
+            caches: vec![Cache::new(nodes); nodes],
             topology,
             events,
             metrics: MetricsCollector::new(sample_period),
@@ -134,6 +193,7 @@ impl GossipScheduler {
             digest_size: 16,
             latency,
             peers: Vec::new(),
+            spare_digests: Vec::new(),
         };
         // Stagger the gossip rounds like ARiA staggers INFORM ticks.
         for node in 0..nodes {
@@ -172,7 +232,10 @@ impl GossipScheduler {
                 Event::Submit { job } => self.place(now, job),
                 Event::Complete { node } => self.complete(now, node),
                 Event::GossipTick { node } => self.gossip_tick(now, node),
-                Event::DeliverDigest { to, digest } => self.merge_digest(to, digest),
+                Event::DeliverDigest { to, digest } => {
+                    self.merge_digest(to, &digest);
+                    self.spare_digests.push(digest);
+                }
                 Event::Sample => self.sample(now),
             }
         }
@@ -191,10 +254,10 @@ impl GossipScheduler {
                 && self.queues[i].policy().is_batch() != job.is_deadline()
         };
         let cached_best = self.caches[initiator]
-            .iter()
-            .filter(|(&i, _)| matches(i))
-            .min_by_key(|(&i, entry)| (entry.backlog, i))
-            .map(|(&i, _)| i);
+            .known()
+            .filter(|&(i, _)| matches(i))
+            .min_by_key(|&(i, entry)| (entry.backlog, i))
+            .map(|(i, _)| i);
         let target = cached_best.or_else(|| {
             // Cold start: the cache knows no matching node yet; fall back
             // to a random matching node (a real system would flood or
@@ -240,14 +303,9 @@ impl GossipScheduler {
         if now > self.horizon {
             return; // stop the periodic chain
         }
-        // Refresh the node's own entry.
+        // Refresh the node's own entry; it is now the freshest one.
         let own = CacheEntry { backlog: self.queues[node].backlog(now), observed_at: now };
-        self.caches[node].insert(node, own);
-
-        let mut entries: Vec<(usize, CacheEntry)> =
-            self.caches[node].iter().map(|(&i, &e)| (i, e)).collect();
-        entries.sort_by_key(|&(i, e)| (std::cmp::Reverse(e.observed_at), i));
-        entries.truncate(self.digest_size);
+        self.caches[node].observe(node, own, self.digest_size);
 
         let node_id = aria_overlay::NodeId::new(node as u32);
         // Reuse the scratch peer buffer; the draw sequence matches the
@@ -258,26 +316,25 @@ impl GossipScheduler {
             // Gossip digests are INFORM-sized state messages.
             self.metrics.record_message(TrafficClass::Inform);
             let delay = self.latency.sample(&mut self.rng);
-            self.events.schedule(
-                now + delay,
-                Event::DeliverDigest { to: neighbor.index(), digest: entries.clone() },
-            );
+            let mut digest = self.spare_digests.pop().unwrap_or_default();
+            digest.clear();
+            digest.extend_from_slice(&self.caches[node].digest);
+            self.events
+                .schedule(now + delay, Event::DeliverDigest { to: neighbor.index(), digest });
         }
         self.peers = peers;
         self.events.schedule(now + self.gossip_period, Event::GossipTick { node });
     }
 
     /// Anti-entropy merge: keep the freshest observation per node.
-    fn merge_digest(&mut self, to: usize, digest: Digest) {
-        for (node, entry) in digest {
+    fn merge_digest(&mut self, to: usize, digest: &[(usize, CacheEntry)]) {
+        let cache = &mut self.caches[to];
+        for &(node, entry) in digest {
             if node == to {
                 continue; // a node is its own best source of truth
             }
-            match self.caches[to].get(&node) {
-                Some(existing) if existing.observed_at >= entry.observed_at => {}
-                _ => {
-                    self.caches[to].insert(node, entry);
-                }
+            if cache.entries[node].is_none_or(|known| known.observed_at < entry.observed_at) {
+                cache.observe(node, entry, self.digest_size);
             }
         }
     }
@@ -297,12 +354,14 @@ impl GossipScheduler {
         &self.metrics
     }
 
-    /// How many distinct remote nodes the average cache currently knows.
+    /// How many distinct nodes the average cache currently knows (a
+    /// node's own entry counts once its first gossip round has run).
     pub fn avg_cache_coverage(&self) -> f64 {
         if self.caches.is_empty() {
             return 0.0;
         }
-        self.caches.iter().map(BTreeMap::len).sum::<usize>() as f64 / self.caches.len() as f64
+        let known: usize = self.caches.iter().map(|cache| cache.known().count()).sum();
+        known as f64 / self.caches.len() as f64
     }
 }
 
@@ -376,6 +435,35 @@ mod tests {
             grid.run().completion_summary().mean()
         };
         assert_eq!(run(4), run(4));
+    }
+
+    /// The incremental digest equals a full sort-and-truncate of the
+    /// cache after every update: random fresher-or-equal observations
+    /// over a few instants (so `observed_at` ties across ids are common,
+    /// and an entry is often rewritten at the same instant with a new
+    /// backlog), at digest sizes from 1 to beyond the node count.
+    #[test]
+    fn incremental_digest_matches_full_sort() {
+        let nodes = 12;
+        for digest_size in [1, 3, 12, 16] {
+            let mut rng = SimRng::seed_from(digest_size as u64);
+            let mut cache = Cache::new(nodes);
+            for step in 0..2_000 {
+                let node = rng.index(nodes);
+                let floor = cache.entries[node].map_or(0, |e| e.observed_at.as_millis());
+                let entry = CacheEntry {
+                    backlog: SimDuration::from_secs(rng.u64_range(0, 5)),
+                    observed_at: SimTime::from_millis(floor + 1_000 * rng.u64_range(0, 2)),
+                };
+                cache.observe(node, entry, digest_size);
+
+                let mut reference: Digest = cache.known().collect();
+                reference.sort_by_key(digest_key);
+                reference.truncate(digest_size);
+                assert_eq!(cache.digest, reference, "digest_size {digest_size}, step {step}");
+            }
+            assert_eq!(cache.known().count(), nodes);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! IDS      table1 table2 fig1 .. fig10 all    (default: all)
 //! --seeds  number of seeds per scenario       (default: 10, paper value)
 //! --scale  shrink the grid for quick runs     (default: paper scale)
-//! --workers worker threads                    (default: all cores)
+//! --workers lanes, the calling thread included (default: all cores)
 //! ```
 //!
 //! Examples:

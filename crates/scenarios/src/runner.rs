@@ -6,9 +6,7 @@ use aria_metrics::{DeadlineStats, TrafficClass, TrafficLedger};
 use aria_probe::{NullProbe, Probe, RingRecorder, Trace, TraceMeta};
 use aria_sim::{Summary, TimeSeries};
 use aria_workload::JobGenerator;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Compact statistics of one `(scenario, seed)` simulation run.
 #[derive(Debug, Clone)]
@@ -195,8 +193,9 @@ pub struct Runner {
     nodes: Option<usize>,
     /// Override for the job count (`None` = paper scale).
     jobs: Option<usize>,
-    /// Upper bound on worker threads for the seed fan-out; the actual
-    /// count is capped by the shared [`aria_sim::pool`] permit budget.
+    /// Upper bound on lanes for the seed fan-out, the calling thread
+    /// included; the extra threads are capped by the shared
+    /// [`aria_sim::pool`] permit budget.
     workers: usize,
 }
 
@@ -213,7 +212,8 @@ impl Runner {
         Runner { nodes: Some(nodes), jobs: Some(jobs), workers: Self::default_workers() }
     }
 
-    /// Sets the number of worker threads (builder-style).
+    /// Sets the number of lanes the seed fan-out may use, the calling
+    /// thread included (builder-style).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -443,7 +443,7 @@ impl Runner {
     }
 
     /// Runs several scenarios over the given seeds, fanning the
-    /// `(scenario, seed)` pairs out over worker threads.
+    /// `(scenario, seed)` pairs out over up to `workers` lanes.
     pub fn run_many(&self, scenarios: &[Scenario], seeds: &[u64]) -> Vec<ScenarioResult> {
         let pairs: Vec<(usize, Scenario, u64)> = scenarios
             .iter()
@@ -451,54 +451,42 @@ impl Runner {
             .flat_map(|(i, &s)| seeds.iter().map(move |&seed| (i, s, seed)))
             .collect();
 
-        let mut by_scenario: BTreeMap<usize, Vec<RunStats>> = BTreeMap::new();
-        // Worker threads draw permits from the process-wide budget
-        // (`aria_sim::pool`), shared with the shard executor, so
-        // concurrent runners times shards never exceeds the core count.
-        // A zero grant — budget exhausted, or a single pair — runs the
-        // pairs serially on this thread; results are identical either
-        // way, only wall-clock time changes.
-        let reservation = if self.workers <= 1 || pairs.len() <= 1 {
-            aria_sim::pool::reserve(0)
-        } else {
-            aria_sim::pool::reserve(self.workers.min(pairs.len()))
-        };
-        if reservation.workers() == 0 {
-            for (i, scenario, seed) in pairs {
-                by_scenario.entry(i).or_default().push(self.run_once(scenario, seed));
+        // The calling thread is one lane; the extra lanes draw permits
+        // from the process-wide budget (`aria_sim::pool`), shared with
+        // the shard executor, so concurrent runners times shards never
+        // exceeds the core count. Each lane claims the next pair from a
+        // shared cursor until the list is exhausted. With no extra lane
+        // granted the caller runs every pair; results are identical
+        // either way, only wall-clock time changes.
+        let reservation =
+            aria_sim::pool::reserve((self.workers - 1).min(pairs.len().saturating_sub(1)));
+        let next = AtomicUsize::new(0);
+        let lane = || {
+            let mut out = Vec::new();
+            while let Some(&(i, scenario, seed)) = pairs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                out.push((i, self.run_once(scenario, seed)));
             }
-        } else {
-            // Work-stealing over a shared cursor: each worker claims the
-            // next (scenario, seed) pair until the list is exhausted.
-            let next = AtomicUsize::new(0);
-            let (result_tx, result_rx) = mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..reservation.workers() {
-                    let result_tx = result_tx.clone();
-                    let (pairs, next) = (&pairs, &next);
-                    scope.spawn(move || loop {
-                        let claimed = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, scenario, seed)) = pairs.get(claimed) else {
-                            break;
-                        };
-                        let stats = self.run_once(scenario, seed);
-                        result_tx.send((i, stats)).expect("reporting result");
-                    });
-                }
-                drop(result_tx);
-                while let Ok((i, stats)) = result_rx.recv() {
-                    by_scenario.entry(i).or_default().push(stats);
-                }
-            });
-        }
+            out
+        };
+        let mut runs: Vec<(usize, RunStats)> = Vec::with_capacity(pairs.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..reservation.workers()).map(|_| scope.spawn(lane)).collect();
+            runs.extend(lane());
+            for handle in handles {
+                runs.extend(handle.join().expect("scenario run panicked"));
+            }
+        });
 
-        by_scenario
-            .into_iter()
-            .map(|(i, mut runs)| {
-                runs.sort_by_key(|r| r.seed);
-                ScenarioResult { scenario: scenarios[i], runs }
-            })
-            .collect()
+        runs.sort_by_key(|(i, run)| (*i, run.seed));
+        let mut results: Vec<ScenarioResult> = scenarios
+            .iter()
+            .map(|&scenario| ScenarioResult { scenario, runs: Vec::new() })
+            .collect();
+        for (i, run) in runs {
+            results[i].runs.push(run);
+        }
+        results.retain(|result| !result.runs.is_empty()); // no seeds, no results
+        results
     }
 }
 
@@ -569,15 +557,38 @@ mod tests {
         assert_eq!(run.deadline.met() + run.deadline.missed(), run.completed);
     }
 
+    /// What a run produced, without its wall time.
+    fn outcome(result: &ScenarioResult) -> Vec<(u64, u64, u64, u64, Vec<f64>)> {
+        result
+            .runs
+            .iter()
+            .map(|r| {
+                (
+                    r.seed,
+                    r.events,
+                    r.traffic.total_messages(),
+                    r.completion.mean().to_bits(),
+                    r.completed_series.values().to_vec(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_and_serial_agree() {
-        let serial = tiny().workers(1).run(Scenario::Mixed, &[1, 2]);
-        let parallel = tiny().workers(4).run(Scenario::Mixed, &[1, 2]);
-        assert_eq!(serial.completion().mean(), parallel.completion().mean());
-        assert_eq!(
-            serial.avg_messages(TrafficClass::Request),
-            parallel.avg_messages(TrafficClass::Request)
-        );
+        let serial = outcome(&tiny().workers(1).run(Scenario::Mixed, &[2, 1]));
+        assert_eq!(serial.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
+        // More lanes than pairs: the extra lanes find nothing to claim.
+        for lanes in [2, 4, 8] {
+            let parallel = outcome(&tiny().workers(lanes).run(Scenario::Mixed, &[2, 1]));
+            assert_eq!(serial, parallel, "{lanes} lanes");
+        }
+        // With the whole pool budget held elsewhere, no extra lane is
+        // granted and the caller runs every pair itself.
+        let held = aria_sim::pool::reserve(usize::MAX);
+        let starved = outcome(&tiny().workers(8).run(Scenario::Mixed, &[2, 1]));
+        drop(held);
+        assert_eq!(serial, starved, "zero grant");
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! ordering, the numbers here move and the diff is caught at review time
 //! instead of silently invalidating previous results.
 
+use aria_core::{GossipScheduler, PolicyMix};
 use aria_metrics::TrafficClass;
 use aria_scenarios::{Runner, RunStats, Scenario};
+use aria_sim::{SimDuration, SimTime};
+use aria_workload::{JobGenerator, SubmissionSchedule};
 
 fn run(seed: u64) -> RunStats {
     Runner::scaled(30, 15).run_once(Scenario::IMixed, seed)
@@ -121,4 +124,38 @@ fn scaled_imixed_matches_recorded_goldens() {
         close(stats.waiting.mean(), golden.waiting_mean, "waiting mean");
         assert_eq!(stats.reschedules, 0.0, "seed {seed}: reschedules");
     }
+}
+
+/// The gossip baseline (reference \[25\]) pinned the same way: one seeded
+/// 100-node, 12 h run. Every placement reads the initiator's cache, and
+/// every digest is the sender's freshest entries in a fixed order, so a
+/// change to how caches or digests are kept that is not a pure
+/// representation change moves these numbers.
+#[test]
+fn gossip_baseline_matches_recorded_golden() {
+    let mut grid = GossipScheduler::new(
+        100,
+        PolicyMix::paper_mixed(),
+        SimTime::from_hours(12),
+        SimDuration::from_mins(5),
+        7,
+    );
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(60), 400);
+    grid.submit_schedule(&schedule, &mut JobGenerator::paper_batch());
+    grid.run();
+    let metrics = grid.metrics();
+    // FNV-1a over every job's completion time in milliseconds, in job-id
+    // order (u64::MAX for a job that never completed).
+    let completions_hash = metrics.records().values().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
+        let ms = r.completion_time().map_or(u64::MAX, |d| d.as_millis());
+        ms.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    assert_eq!(metrics.completed_count(), 400);
+    let mean_bits = metrics.completion_summary().mean().to_bits();
+    assert_eq!(mean_bits, 0x40c9_7358_584f_4c6d, "completion mean");
+    assert_eq!(metrics.traffic().messages(TrafficClass::Inform), 144_000, "digest count");
+    assert_eq!(metrics.traffic().messages(TrafficClass::Assign), 400, "ASSIGN count");
+    // 99.4 nodes known per cache, the node's own entry included.
+    assert_eq!(grid.avg_cache_coverage().to_bits(), 0x4058_d999_9999_999a, "cache coverage");
+    assert_eq!(completions_hash, 0x41a2_6450_b795_6485, "per-job completion times");
 }
