@@ -131,6 +131,51 @@ fn event_queue_throughput(c: &mut Criterion) {
     });
 }
 
+/// The shape of a deep world run, where `event_queue_100k` (push all,
+/// then pop all) flatters a radix queue: 50k periodic timers with
+/// staggered phases, each re-armed as it fires, and every fourth tick
+/// starting a short-latency delivery flood (fan-out 2, three hops), all
+/// popped interleaved with the schedules they cause.
+fn event_queue_des(c: &mut Criterion) {
+    const TIMERS: u64 = 50_000;
+    const PERIOD_MS: u64 = 300_000;
+    const HOPS: u64 = 3;
+    c.bench_function("event_queue_des_50k_timers", |b| {
+        b.iter(|| {
+            let mut queue = EventQueue::new();
+            // Payloads below TIMERS are timer ids; the rest are
+            // deliveries carrying TIMERS + hops left.
+            for i in 0..TIMERS {
+                queue.schedule(SimTime::from_millis(i * 7919 % PERIOD_MS), i);
+            }
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            let mut latency = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                SimDuration::from_millis(10 + state % 290)
+            };
+            let mut delivered = 0u64;
+            for _ in 0..500_000 {
+                let (now, e) = queue.pop().expect("timers keep the queue non-empty");
+                if e < TIMERS {
+                    queue.schedule(now + SimDuration::from_millis(PERIOD_MS), e);
+                    if e % 4 == 0 {
+                        queue.schedule(now + latency(), TIMERS + HOPS);
+                    }
+                } else {
+                    delivered += 1;
+                    if e > TIMERS {
+                        queue.schedule(now + latency(), e - 1);
+                        queue.schedule(now + latency(), e - 1);
+                    }
+                }
+            }
+            black_box(delivered)
+        })
+    });
+}
+
 fn workload_generation(c: &mut Criterion) {
     c.bench_function("workload_1000_feasible_jobs", |b| {
         let mut rng = SimRng::seed_from(3);
@@ -168,6 +213,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
     targets = overlay_build, overlay_join, scheduler_queue_ops, cost_functions,
-        event_queue_throughput, workload_generation, full_small_simulation
+        event_queue_throughput, event_queue_des, workload_generation, full_small_simulation
 }
 criterion_main!(benches);

@@ -308,7 +308,7 @@ impl<P: Probe> World<P> {
             // work around, plus purge losses.
             let reservation = pool::reserve(shards.saturating_sub(1));
             if snapshot >= threshold.max(1) && reservation.workers() > 0 {
-                // Deterministic intra-region order (the heap iterates in
+                // Deterministic intra-region order (the queue iterates in
                 // layout order); results merge in ascending region order.
                 for bucket in &mut buckets {
                     bucket.sort_unstable();

@@ -165,6 +165,37 @@ mod tests {
         }
     }
 
+    /// Pins `random_regular`'s graphs: an FNV-1a hash over every node's
+    /// degree, neighbour ids and link latencies. The hashes were recorded
+    /// before the builder stopped recounting links on every attempt, so
+    /// they prove the cheaper loop draws the same random sequence.
+    #[test]
+    fn random_regular_graphs_are_pinned() {
+        fn fnv(h: u64, v: u64) -> u64 {
+            let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            v.to_le_bytes().iter().fold(h, step)
+        }
+        let pinned = [
+            (10, 3, 1, 15, 0xa503_9956_41e4_c329),
+            (200, 4, 17, 400, 0x87a7_ebcc_e6cb_000d),
+            (1_000, 6, 99, 3_000, 0xeb0c_2e86_0c51_fe4a),
+            (5_000, 4, 2024, 10_000, 0x99c6_6f01_03cc_5a00),
+        ];
+        for (n, d, seed, links, hash) in pinned {
+            let t = random_regular(n, d, &LatencyModel::default(), &mut SimRng::seed_from(seed));
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            for node in t.nodes() {
+                h = fnv(h, t.degree(node) as u64);
+                for &m in t.neighbors(node) {
+                    h = fnv(h, u64::from(m.raw()));
+                    h = fnv(h, t.latency(node, m).expect("listed neighbour").as_millis());
+                }
+            }
+            assert_eq!(t.link_count(), links, "({n}, {d}, {seed}) links");
+            assert_eq!(h, hash, "({n}, {d}, {seed}) graph hash");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "even")]
     fn odd_k_panics() {

@@ -59,6 +59,9 @@ pub struct Topology {
     adjacency: Vec<Vec<NodeId>>,
     /// One-way link latencies, parallel to `adjacency`.
     latencies: Vec<Vec<SimDuration>>,
+    /// Undirected links, kept by `connect`/`disconnect` so that
+    /// [`Topology::link_count`] is O(1) inside builder loops.
+    links: usize,
 }
 
 impl Topology {
@@ -69,7 +72,7 @@ impl Topology {
 
     /// Creates an overlay with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Self {
-        Topology { adjacency: vec![Vec::new(); n], latencies: vec![Vec::new(); n] }
+        Topology { adjacency: vec![Vec::new(); n], latencies: vec![Vec::new(); n], links: 0 }
     }
 
     /// Adds a new isolated node and returns its id.
@@ -108,16 +111,24 @@ impl Topology {
         if a == b {
             return;
         }
-        self.insert_half(a, b, latency);
+        if self.insert_half(a, b, latency) {
+            self.links += 1;
+        }
         self.insert_half(b, a, latency);
     }
 
-    fn insert_half(&mut self, from: NodeId, to: NodeId, latency: SimDuration) {
+    /// Adds or updates the half-link `from → to`; returns whether it is
+    /// new.
+    fn insert_half(&mut self, from: NodeId, to: NodeId, latency: SimDuration) -> bool {
         match self.adjacency[from.index()].binary_search(&to) {
-            Ok(pos) => self.latencies[from.index()][pos] = latency,
+            Ok(pos) => {
+                self.latencies[from.index()][pos] = latency;
+                false
+            }
             Err(pos) => {
                 self.adjacency[from.index()].insert(pos, to);
                 self.latencies[from.index()].insert(pos, latency);
+                true
             }
         }
     }
@@ -129,6 +140,7 @@ impl Topology {
         let removed = self.remove_half(a, b);
         if removed {
             self.remove_half(b, a);
+            self.links -= 1;
         }
         removed
     }
@@ -174,12 +186,12 @@ impl Topology {
         if self.is_empty() {
             return 0.0;
         }
-        self.adjacency.iter().map(Vec::len).sum::<usize>() as f64 / self.len() as f64
+        (2 * self.links) as f64 / self.len() as f64
     }
 
     /// Number of undirected links.
     pub fn link_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        self.links
     }
 
     /// Up to `k` distinct random neighbors of `node`, excluding `exclude`.
@@ -439,6 +451,21 @@ mod tests {
         assert_eq!(t.link_count(), 3);
         assert!((t.avg_degree() - 1.5).abs() < 1e-12);
         assert_eq!(t.degree(NodeId(1)), 2);
+    }
+
+    #[test]
+    fn link_count_tracks_connects_and_disconnects() {
+        let mut t = line(5);
+        t.connect(NodeId(0), NodeId(1), ms(99)); // existing link: latency update only
+        t.connect(NodeId(2), NodeId(2), ms(1)); // self-link: ignored
+        t.connect(NodeId(4), NodeId(0), ms(3));
+        assert_eq!(t.link_count(), 5);
+        assert!(t.disconnect(NodeId(1), NodeId(0)));
+        assert!(!t.disconnect(NodeId(1), NodeId(0)));
+        assert!(!t.disconnect(NodeId(9), NodeId(0)));
+        assert_eq!(t.link_count(), 4);
+        let summed: usize = t.nodes().map(|n| t.degree(n)).sum();
+        assert_eq!(summed, 2 * t.link_count());
     }
 
     #[test]

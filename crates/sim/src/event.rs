@@ -1,19 +1,89 @@
 //! The event queue at the heart of the discrete-event engine.
+//!
+//! [`EventQueue`] is a monotone radix queue (the radix heap of Ahuja,
+//! Mehlhorn, Orlin and Tarjan, 1990) over integer-millisecond
+//! [`SimTime`]. It relies on the one promise a discrete-event simulation
+//! makes about its queue: nothing is ever scheduled before the instant
+//! last popped (past schedules are clamped to `now` and counted).
+//!
+//! # Layout
+//!
+//! Every pending entry lives in one slab `Vec`. An entry is a packed
+//! word — its instant in the high [`TIME_BITS`] bits, the slot of the
+//! next entry of its list in the low [`SLOT_BITS`] — plus its sequence
+//! number and payload, so an entry costs no more than a plain
+//! `(time, seq, event)` triple. The bucket lists and the free list are
+//! threaded through those next links; freed slots are reused
+//! last-in-first-out, so the slab never grows past the deepest the queue
+//! has been.
+//!
+//! An entry at instant `t` sits in bucket `b = bits(t XOR last)`, the
+//! position of the highest bit in which `t` differs from `last` (bucket
+//! 0: `t == last`). `last` is the instant of the most recent pop, so
+//! every pending entry is at or after it, and bucket `b > 0` holds
+//! exactly the instants in `[p + 2^(b-1), p + 2^b)` where `p` is `last`
+//! with its low `b` bits cleared: the buckets partition the future into
+//! ascending, disjoint ranges. A pop takes the head of bucket 0. When
+//! bucket 0 is empty it first *refills*: `last` moves to the minimum of
+//! the lowest non-empty bucket (kept per bucket, so no scan is needed to
+//! find it) and that bucket's entries are redistributed, each into a
+//! strictly lower bucket. An entry therefore moves at most `TIME_BITS`
+//! times in its life.
+//!
+//! # Why the pop order is exactly `(time, seq)`
+//!
+//! Every bucket list is kept in ascending sequence order. `schedule`
+//! appends at a tail with a sequence number larger than any pending one;
+//! a refill drains one bucket front to back into buckets that are all
+//! empty (it drains the *lowest* non-empty one), so appending keeps each
+//! target list in the order of the drained list. Bucket 0 holds a single
+//! instant, so its FIFO order is `(time, seq)` order, and every entry in
+//! a lower bucket precedes every entry in a higher one. Ties at one
+//! instant are thus delivered in scheduling order, and the queue pops
+//! the same sequence as any other `(time, seq)` priority queue.
 
 use crate::time::SimTime;
+
+/// Bits of an entry's packed word that hold its instant: instants up to
+/// `2^40 - 1` ms (about 34.8 years) can be scheduled.
+pub const TIME_BITS: u32 = 40;
+
+/// Bits of an entry's packed word that hold a slot link: up to
+/// `2^24 - 1` (about 16.7M) events can be pending at once.
+pub const SLOT_BITS: u32 = u64::BITS - TIME_BITS;
+
+/// The link value that ends a list; also one past the highest slot.
+const NIL: u32 = (1 << SLOT_BITS) - 1;
+
+/// One bucket per possible highest differing bit, plus bucket 0.
+const BUCKETS: usize = TIME_BITS as usize + 1;
+
+/// The bucket of an entry at `at` ms while the pivot is `last` ms.
+#[inline]
+fn bucket_of(at: u64, last: u64) -> usize {
+    (u64::BITS - (at ^ last).leading_zeros()) as usize
+}
+
+/// The slot of an entry pushed onto a slab of `len` entries.
+///
+/// # Panics
+///
+/// Panics if the slot would not fit in a [`SLOT_BITS`]-bit link.
+fn fresh_slot(len: usize) -> u32 {
+    assert!(
+        len < NIL as usize,
+        "more than {NIL} events pending: the queue's {SLOT_BITS}-bit slot range is full"
+    );
+    len as u32
+}
 
 /// A deterministic priority queue of timestamped events.
 ///
 /// Events are delivered in non-decreasing time order; events scheduled for
 /// the same instant are delivered in scheduling order (FIFO), which makes
-/// simulation runs reproducible regardless of payload type.
-///
-/// Internally a 4-ary min-heap ordered on `(time, seq)`: popping the
-/// minimum dominates a simulation run's profile, and the wider fan-out
-/// halves the sift-down depth over a binary heap while the children of a
-/// node share a cache line or two. Every key is unique (the sequence
-/// number breaks ties), so *any* correct heap pops the same order — the
-/// layout is a pure performance choice with no effect on determinism.
+/// simulation runs reproducible regardless of payload type. See the
+/// [module documentation](self) for the radix layout and why it pops in
+/// exactly `(time, seq)` order.
 ///
 /// # Example
 ///
@@ -29,70 +99,148 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: Vec<Entry<E>>,
+    /// Every entry, pending or free.
+    slab: Vec<Entry<E>>,
+    /// First and last slot of each bucket's list (`NIL` when empty).
+    heads: [u32; BUCKETS],
+    tails: [u32; BUCKETS],
+    /// Earliest instant in each non-empty bucket `b > 0` (bucket 0's is
+    /// `last`).
+    min_at: [u64; BUCKETS],
+    /// Bit `b` is set iff bucket `b` is non-empty.
+    occupied: u64,
+    /// Head of the free-slot list.
+    free: u32,
+    /// The pivot instant (ms): bucket 0's instant, never after `now`.
+    last: u64,
+    len: usize,
     next_seq: u64,
     now: SimTime,
     clamped: u64,
     peak: usize,
 }
 
-/// Heap arity. Four children per node: sift-down compares one extra pair
-/// per level but needs half the levels, a known win for pop-heavy heaps.
-const ARITY: usize = 4;
-
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    at: SimTime,
+    /// `at << SLOT_BITS | next`; a free entry holds only its next link.
+    word: u64,
     seq: u64,
-    event: E,
+    /// `None` exactly when the slot is on the free list.
+    event: Option<E>,
 }
 
 impl<E> Entry<E> {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn at(&self) -> u64 {
+        self.word >> SLOT_BITS
+    }
+
+    #[inline]
+    fn next(&self) -> u32 {
+        (self.word & u64::from(NIL)) as u32
+    }
+
+    #[inline]
+    fn set_next(&mut self, next: u32) {
+        self.word = (self.word & !u64::from(NIL)) | u64::from(next);
     }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue { heap: Vec::new(), next_seq: 0, now: SimTime::ZERO, clamped: 0, peak: 0 }
-    }
-
-    /// Restores the heap invariant upward from `pos` after a push.
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if self.heap[pos].key() < self.heap[parent].key() {
-                self.heap.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
+        EventQueue {
+            slab: Vec::new(),
+            heads: [NIL; BUCKETS],
+            tails: [NIL; BUCKETS],
+            min_at: [0; BUCKETS],
+            occupied: 0,
+            free: NIL,
+            last: 0,
+            len: 0,
+            next_seq: 0,
+            now: SimTime::ZERO,
+            clamped: 0,
+            peak: 0,
         }
     }
 
-    /// Restores the heap invariant downward from `pos` after a pop.
-    fn sift_down(&mut self, mut pos: usize) {
-        loop {
-            let first = ARITY * pos + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let end = (first + ARITY).min(self.heap.len());
-            let mut best = first;
-            for child in first + 1..end {
-                if self.heap[child].key() < self.heap[best].key() {
-                    best = child;
-                }
-            }
-            if self.heap[pos].key() <= self.heap[best].key() {
-                break;
-            }
-            self.heap.swap(pos, best);
-            pos = best;
+    /// Appends the entry in `slot` (instant `at` ms) to bucket `b`.
+    #[inline]
+    fn append(&mut self, b: usize, slot: u32, at: u64) {
+        self.slab[slot as usize].word = at << SLOT_BITS | u64::from(NIL);
+        let tail = self.tails[b];
+        if tail == NIL {
+            self.heads[b] = slot;
+            self.occupied |= 1 << b;
+            self.min_at[b] = at;
+        } else {
+            self.slab[tail as usize].set_next(slot);
+            self.min_at[b] = self.min_at[b].min(at);
         }
+        self.tails[b] = slot;
+    }
+
+    /// Moves the pivot to the minimum of the lowest non-empty bucket
+    /// and redistributes that bucket, in list order, into the (empty)
+    /// buckets below it. Requires bucket 0 empty and the queue not.
+    fn refill(&mut self) {
+        let b = self.occupied.trailing_zeros() as usize;
+        self.last = self.min_at[b];
+        let mut slot = self.heads[b];
+        self.heads[b] = NIL;
+        self.tails[b] = NIL;
+        self.occupied &= !(1 << b);
+        while slot != NIL {
+            let entry = &self.slab[slot as usize];
+            let (at, next) = (entry.at(), entry.next());
+            self.append(bucket_of(at, self.last), slot, at);
+            slot = next;
+        }
+    }
+
+    /// The non-empty buckets, lowest (earliest) first.
+    #[inline]
+    fn buckets(&self) -> impl Iterator<Item = usize> {
+        let mut rest = self.occupied;
+        std::iter::from_fn(move || {
+            let b = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some(b)
+        })
+    }
+
+    /// Bucket `b`'s slots and entries, in list (seq) order.
+    fn list(&self, b: usize) -> impl Iterator<Item = (u32, &Entry<E>)> + '_ {
+        let mut slot = self.heads[b];
+        std::iter::from_fn(move || {
+            let current = slot;
+            (current != NIL).then(|| {
+                let entry = &self.slab[current as usize];
+                slot = entry.next();
+                (current, entry)
+            })
+        })
+    }
+
+    /// The earliest instant in non-empty bucket `b`.
+    #[inline]
+    fn min_of(&self, b: usize) -> u64 {
+        if b == 0 {
+            self.last
+        } else {
+            self.min_at[b]
+        }
+    }
+
+    /// Puts a drained slot on the free list and returns its payload.
+    #[inline]
+    fn release(&mut self, slot: u32) -> E {
+        let entry = &mut self.slab[slot as usize];
+        entry.word = u64::from(self.free);
+        self.free = slot;
+        self.len -= 1;
+        entry.event.take().expect("a pending slot holds its event")
     }
 
     /// Schedules `event` for delivery at instant `at`.
@@ -102,16 +250,38 @@ impl<E> EventQueue<E> {
     /// debug builds and counted in [`EventQueue::clamped_count`] so release
     /// builds can assert the count stayed zero instead of silently
     /// reordering causality.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` does not fit in [`TIME_BITS`] bits of milliseconds,
+    /// or if [`SLOT_BITS`] bits of slots are all pending.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         if at < self.now {
             self.clamped += 1;
         }
+        let at = at.max(self.now).as_millis();
+        assert!(
+            at >> TIME_BITS == 0,
+            "event time {at} ms exceeds the queue's {TIME_BITS}-bit range"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at: at.max(self.now), seq, event });
-        self.peak = self.peak.max(self.heap.len());
-        self.sift_up(self.heap.len() - 1);
+        let slot = if self.free == NIL {
+            let slot = fresh_slot(self.slab.len());
+            self.slab.push(Entry { word: 0, seq, event: Some(event) });
+            slot
+        } else {
+            let slot = self.free;
+            let entry = &mut self.slab[slot as usize];
+            self.free = entry.next();
+            entry.seq = seq;
+            entry.event = Some(event);
+            slot
+        };
+        self.append(bucket_of(at, self.last), slot, at);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
     }
 
     /// How many events were scheduled in the past and clamped to `now`.
@@ -134,15 +304,22 @@ impl<E> EventQueue<E> {
     /// executor checks every in-window delivery against the sequence
     /// boundary captured at the window barrier.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.heap.is_empty() {
-            return None;
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refill();
         }
-        let entry = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+        let slot = self.heads[0];
+        let entry = &self.slab[slot as usize];
+        let (next, seq) = (entry.next(), entry.seq);
+        self.heads[0] = next;
+        if next == NIL {
+            self.tails[0] = NIL;
+            self.occupied &= !1;
         }
-        self.now = entry.at;
-        Some((entry.at, entry.seq, entry.event))
+        self.now = SimTime::from_millis(self.last);
+        Some((self.now, seq, self.release(slot)))
     }
 
     /// The sequence number the next [`EventQueue::schedule`] call will
@@ -153,15 +330,21 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// The timestamp of the next event without removing it.
+    /// The timestamp of the next event without removing it. O(1): the
+    /// pivot if bucket 0 is non-empty, else the lowest bucket's minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.buckets().next().map(|b| SimTime::from_millis(self.min_of(b)))
     }
 
     /// The next event (the one [`EventQueue::pop`] would return) without
-    /// removing it.
+    /// removing it: the first entry at the earliest bucket's minimum,
+    /// found by walking that bucket.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.first().map(|e| (e.at, &e.event))
+        let b = self.buckets().next()?;
+        let at = self.min_of(b);
+        let (_, entry) =
+            self.list(b).find(|(_, e)| e.at() == at).expect("a bucket holds its minimum");
+        Some((SimTime::from_millis(at), entry.event.as_ref().expect("pending")))
     }
 
     // --- exploration hooks ------------------------------------------------
@@ -178,23 +361,49 @@ impl<E> EventQueue<E> {
     /// `None` if no pending event matches. Used by the exploration driver
     /// to force a specific delivery; pair with
     /// [`EventQueue::advance_clock`] when the removed event should also
-    /// move time forward.
+    /// move time forward. Buckets are searched lowest first and the
+    /// search stops at the first bucket holding a match, since every
+    /// later bucket is strictly later in time.
     pub fn remove_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> Option<(SimTime, E)> {
-        let mut best: Option<usize> = None;
-        for (i, entry) in self.heap.iter().enumerate() {
-            if pred(&entry.event) && best.is_none_or(|b| entry.key() < self.heap[b].key()) {
-                best = Some(i);
+        for b in self.buckets() {
+            // (at, slot, predecessor) of the best match so far.
+            let mut best: Option<(u64, u32, u32)> = None;
+            let mut prev = NIL;
+            for (slot, entry) in self.list(b) {
+                // List order is seq order, so only a strictly earlier
+                // instant beats an earlier match.
+                if best.is_none_or(|(best_at, _, _)| entry.at() < best_at)
+                    && pred(entry.event.as_ref().expect("pending"))
+                {
+                    best = Some((entry.at(), slot, prev));
+                }
+                prev = slot;
+            }
+            if let Some((at, slot, prev)) = best {
+                self.unlink(b, slot, prev, at);
+                return Some((SimTime::from_millis(at), self.release(slot)));
             }
         }
-        let pos = best?;
-        let entry = self.heap.swap_remove(pos);
-        if pos < self.heap.len() {
-            // The swapped-in tail element may violate the heap invariant
-            // in either direction.
-            self.sift_down(pos);
-            self.sift_up(pos);
+        None
+    }
+
+    /// Unlinks `slot` (instant `at` ms, predecessor `prev`) from bucket
+    /// `b`.
+    fn unlink(&mut self, b: usize, slot: u32, prev: u32, at: u64) {
+        let next = self.slab[slot as usize].next();
+        if prev == NIL {
+            self.heads[b] = next;
+        } else {
+            self.slab[prev as usize].set_next(next);
         }
-        Some((entry.at, entry.event))
+        if self.tails[b] == slot {
+            self.tails[b] = prev;
+        }
+        if self.heads[b] == NIL {
+            self.occupied &= !(1 << b);
+        } else if b > 0 && at == self.min_at[b] {
+            self.min_at[b] = self.list(b).map(|(_, e)| e.at()).min().expect("bucket is non-empty");
+        }
     }
 
     /// Advances the queue clock to `to` without delivering anything.
@@ -209,42 +418,42 @@ impl<E> EventQueue<E> {
     }
 
     /// Iterates over every pending event with its timestamp and sequence
-    /// number, in unspecified (heap) order.
+    /// number, in unspecified (slab) order.
     ///
     /// Like [`EventQueue::iter`] but exposing the FIFO tie-break key, so
     /// state canonicalization can order same-instant events exactly as
     /// [`EventQueue::pop`] would deliver them.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
-        self.heap.iter().map(|e| (e.at, e.seq, &e.event))
+        self.slab.iter().filter_map(|entry| {
+            let event = entry.event.as_ref()?;
+            Some((SimTime::from_millis(entry.at()), entry.seq, event))
+        })
     }
 
     /// Visits every pending entry scheduled strictly before `bound`, in
-    /// unspecified order. The traversal prunes on the heap property —
-    /// an entry at or past the bound cannot have an earlier descendant —
-    /// so the cost is O(matches · arity), not O(pending). This is what
-    /// keeps the sharded executor's per-window snapshot linear in the
-    /// window's own events rather than in the whole queue.
+    /// unspecified order. Buckets are visited lowest first and the walk
+    /// stops at the first bucket whose minimum is at or past the bound,
+    /// so the cost is the size of the buckets overlapping the window, not
+    /// the whole queue. This keeps the sharded executor's per-window
+    /// snapshot cheap.
     pub fn entries_before(&self, bound: SimTime, mut visit: impl FnMut(SimTime, u64, &E)) {
-        let mut stack = if self.heap.is_empty() { Vec::new() } else { vec![0usize] };
-        while let Some(i) = stack.pop() {
-            let entry = &self.heap[i];
-            if entry.at >= bound {
-                continue;
+        let bound = bound.as_millis();
+        for b in self.buckets().take_while(|&b| self.min_of(b) < bound) {
+            for (_, entry) in self.list(b).filter(|(_, e)| e.at() < bound) {
+                let event = entry.event.as_ref().expect("pending");
+                visit(SimTime::from_millis(entry.at()), entry.seq, event);
             }
-            visit(entry.at, entry.seq, &entry.event);
-            let first = ARITY * i + 1;
-            stack.extend(first..(first + ARITY).min(self.heap.len()));
         }
     }
 
-    /// Iterates over every pending event in unspecified (heap) order.
+    /// Iterates over every pending event in unspecified (slab) order.
     ///
     /// This is an inspection hook for state-machine auditing — e.g.
     /// `World::check_invariants` cross-checks per-flood in-flight counts
     /// against the messages actually pending here. Delivery order is
     /// still decided exclusively by [`EventQueue::pop`].
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
-        self.heap.iter().map(|e| (e.at, &e.event))
+        self.entries().map(|(at, _, event)| (at, event))
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -254,12 +463,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// High-water mark of [`EventQueue::len`] over the queue's lifetime —
@@ -387,10 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn heap_pops_total_order_under_interleaving() {
-        // Exercise the 4-ary heap with a scrambled schedule: pops must
-        // come out sorted by (time, scheduling order) whatever the push
-        // order was, including pushes interleaved with pops.
+    fn pops_total_order_under_interleaving() {
+        // A scrambled schedule: pops must come out sorted by (time,
+        // scheduling order) whatever the push order was, including
+        // pushes interleaved with pops.
         let mut q = EventQueue::new();
         let mut expected = Vec::new();
         for i in 0..400u64 {
@@ -438,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_where_takes_the_earliest_match_and_keeps_the_heap() {
+    fn remove_where_takes_the_earliest_match_and_keeps_the_order() {
         let mut q = EventQueue::new();
         for i in 0..50u64 {
             q.schedule(SimTime::from_secs((i * 13) % 20), i);
@@ -539,6 +748,31 @@ mod tests {
             full.sort_unstable();
             assert_eq!(pruned, full, "bound {bound_ms}ms");
         }
+    }
+
+    #[test]
+    fn the_last_slot_below_the_end_link_is_usable() {
+        assert_eq!(fresh_slot(NIL as usize - 1), NIL - 1);
+    }
+
+    // Filling 2^24 slots for real would take hundreds of megabytes, so
+    // the bound is exercised where `schedule` takes it from.
+    #[test]
+    #[should_panic(expected = "24-bit slot range is full")]
+    fn a_full_slot_range_panics() {
+        fresh_slot(NIL as usize);
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for round in 0..100u64 {
+            q.schedule(SimTime::from_secs(round), round);
+            q.schedule(SimTime::from_secs(round), round);
+            q.pop();
+            q.pop();
+        }
+        assert_eq!(q.slab.len(), 2, "a drained queue refills its own slots");
     }
 
     #[test]

@@ -1,10 +1,131 @@
 //! Property-based tests for the simulation kernel: event ordering,
 //! statistics algebra and time arithmetic.
 
+use aria_sim::event::TIME_BITS;
 use aria_sim::{stats, EventQueue, SimDuration, SimRng, SimTime, Summary, TimeSeries};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeMap;
+
+/// The reference the queue is checked against: a sorted map keyed by
+/// `(time, seq)`, the order every pop must follow.
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<(SimTime, u64), u64>,
+    next_seq: u64,
+    now: SimTime,
+    peak: usize,
+}
+
+impl Model {
+    fn schedule(&mut self, queue: &mut EventQueue<u64>, at: SimTime) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // The payload is the seq xor a constant, so a payload mix-up
+        // and a seq mix-up both show.
+        queue.schedule(at, seq ^ 0x5eed);
+        self.pending.insert((at, seq), seq ^ 0x5eed);
+        self.peak = self.peak.max(self.pending.len());
+    }
+
+    fn first(&self) -> Option<(SimTime, u64, u64)> {
+        self.entries().next()
+    }
+
+    /// `(time, seq, event)` in pop order.
+    fn entries(&self) -> impl Iterator<Item = (SimTime, u64, u64)> + '_ {
+        self.pending.iter().map(|(&(at, seq), &e)| (at, seq, e))
+    }
+}
+
+/// The latest instant the queue accepts.
+const MAX_MS: u64 = (1 << TIME_BITS) - 1;
+
+/// Applies `ops` to a queue and to the model, comparing after each one.
+/// Each op is `(kind, parameter)`; kinds cover zero-delay, short,
+/// equal-instant burst, power-of-two-boundary and beyond-2^32-ms
+/// schedules, pops, peeks, `remove_where`, `advance_clock` and `clone`.
+fn check_against_model(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
+    for &(kind, p) in ops {
+        let now = model.now.as_millis();
+        let at = |ms: u64| SimTime::from_millis(ms.clamp(now, MAX_MS));
+        match kind {
+            0 => model.schedule(&mut queue, model.now),
+            1..=3 => model.schedule(&mut queue, at(now + p % 500)),
+            4 => {
+                let instant = at(now + p % 50);
+                for _ in 0..1 + p % 7 {
+                    model.schedule(&mut queue, instant);
+                }
+            }
+            5 | 6 => {
+                // Just below, on and just above the next multiple of 2^k.
+                let k = p % u64::from(TIME_BITS - 2);
+                let boundary = ((now >> k) + 1) << k;
+                model.schedule(&mut queue, at(boundary - 1 + (p >> 8) % 3));
+            }
+            7 => model.schedule(&mut queue, at((1 << 32) + now + p % (1 << 34))),
+            8..=11 => {
+                let popped = queue.pop_entry();
+                let expected = model.first();
+                prop_assert_eq!(popped, expected, "pop");
+                if let Some((at, seq, _)) = expected {
+                    model.pending.remove(&(at, seq));
+                    model.now = at;
+                }
+                prop_assert_eq!(queue.now(), model.now, "clock after pop");
+            }
+            12 => {
+                let expected = model.first();
+                prop_assert_eq!(queue.peek_time(), expected.map(|(at, _, _)| at), "peek_time");
+                let peeked = queue.peek().map(|(at, &e)| (at, e));
+                prop_assert_eq!(peeked, expected.map(|(at, _, e)| (at, e)), "peek");
+            }
+            13 => {
+                let (modulus, rest) = (2 + p % 5, (p >> 8) % 2);
+                let pred = |e: &u64| e % modulus == rest;
+                let expected = model.pending.iter().find(|(_, e)| pred(e)).map(|(&k, &e)| (k, e));
+                let removed = queue.remove_where(pred);
+                prop_assert_eq!(removed, expected.map(|((at, _), e)| (at, e)), "remove_where");
+                if let Some((key, _)) = expected {
+                    model.pending.remove(&key);
+                }
+                prop_assert_eq!(queue.now(), model.now, "remove_where must not move the clock");
+            }
+            14 => {
+                let to = at(now + p % 2_000);
+                queue.advance_clock(to);
+                model.now = to;
+            }
+            _ => queue = queue.clone(),
+        }
+        prop_assert_eq!(queue.len(), model.pending.len(), "len");
+        prop_assert_eq!(queue.peak_len(), model.peak, "peak_len");
+        prop_assert_eq!(queue.next_seq(), model.next_seq, "next_seq");
+        let mut entries: Vec<_> = queue.entries().map(|(at, seq, &e)| (at, seq, e)).collect();
+        entries.sort_unstable();
+        prop_assert_eq!(entries, model.entries().collect::<Vec<_>>(), "entries");
+    }
+    // Drain: the rest must come out in exactly the model's order.
+    let drained: Vec<_> = std::iter::from_fn(|| queue.pop_entry()).collect();
+    prop_assert_eq!(drained, model.entries().collect::<Vec<_>>(), "drain");
+    prop_assert_eq!(queue.clamped_count(), 0);
+    Ok(())
+}
 
 proptest! {
+    /// The event queue matches a `BTreeMap` reference over random
+    /// interleavings of every operation: pop order, peeks, `entries()`,
+    /// `len` and `peak_len`.
+    #[test]
+    fn event_queue_matches_a_sorted_map_model(
+        ops in proptest::collection::vec((0u8..16, any::<u64>()), 0..600),
+    ) {
+        check_against_model(&ops)?;
+    }
+
     /// The event queue is a stable priority queue: output is sorted by
     /// time, and equal-time events keep insertion order.
     #[test]
@@ -113,4 +234,27 @@ proptest! {
         let thinned = ts.thin(3);
         prop_assert_eq!(thinned.values()[0], values[0]);
     }
+}
+
+/// Instants past the packed time range are refused loudly, never
+/// wrapped into an earlier bucket.
+#[test]
+#[should_panic(expected = "exceeds the queue's 40-bit range")]
+fn event_queue_refuses_instants_past_the_time_range() {
+    let mut queue = EventQueue::new();
+    queue.schedule(SimTime::from_millis(MAX_MS), 'a');
+    queue.schedule(SimTime::from_millis(MAX_MS + 1), 'b');
+}
+
+/// The latest representable instant still orders correctly against an
+/// early one.
+#[test]
+fn event_queue_orders_the_extremes_of_the_time_range() {
+    let mut queue = EventQueue::new();
+    queue.schedule(SimTime::from_millis(MAX_MS), 'z');
+    queue.schedule(SimTime::from_millis(1 << 32), 'm');
+    queue.schedule(SimTime::ZERO, 'a');
+    let order: Vec<(u64, char)> =
+        std::iter::from_fn(|| queue.pop().map(|(at, e)| (at.as_millis(), e))).collect();
+    assert_eq!(order, [(0, 'a'), (1 << 32, 'm'), (MAX_MS, 'z')]);
 }

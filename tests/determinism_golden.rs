@@ -1,18 +1,28 @@
 //! Golden determinism test: a run is a pure function of `(config, seed)`.
 //!
 //! The dense-state hot path (interned job payloads, recycled flood slots,
-//! buffered fan-out sampling, the 4-ary event heap) is required to be a
+//! buffered fan-out sampling, the radix event queue) is required to be a
 //! pure representation change: every metric must stay bit-for-bit
 //! identical across refactors. These tests pin small scaled runs to
 //! recorded values — if an "optimization" perturbs RNG draws or event
 //! ordering, the numbers here move and the diff is caught at review time
 //! instead of silently invalidating previous results.
 
-use aria_core::{GossipScheduler, PolicyMix};
-use aria_metrics::TrafficClass;
+use aria_core::{GossipScheduler, OverlayKind, PolicyMix, World, WorldConfig};
+use aria_metrics::{MetricsCollector, TrafficClass};
+use aria_probe::{Probe, ProbeEvent};
 use aria_scenarios::{Runner, RunStats, Scenario};
 use aria_sim::{SimDuration, SimTime};
 use aria_workload::{JobGenerator, SubmissionSchedule};
+
+/// FNV-1a over every job's completion time in milliseconds, in job-id
+/// order (u64::MAX for a job that never completed).
+fn completions_hash(metrics: &MetricsCollector) -> u64 {
+    metrics.records().values().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
+        let ms = r.completion_time().map_or(u64::MAX, |d| d.as_millis());
+        ms.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
 
 fn run(seed: u64) -> RunStats {
     Runner::scaled(30, 15).run_once(Scenario::IMixed, seed)
@@ -144,12 +154,7 @@ fn gossip_baseline_matches_recorded_golden() {
     grid.submit_schedule(&schedule, &mut JobGenerator::paper_batch());
     grid.run();
     let metrics = grid.metrics();
-    // FNV-1a over every job's completion time in milliseconds, in job-id
-    // order (u64::MAX for a job that never completed).
-    let completions_hash = metrics.records().values().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
-        let ms = r.completion_time().map_or(u64::MAX, |d| d.as_millis());
-        ms.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-    });
+    let completions_hash = completions_hash(metrics);
     assert_eq!(metrics.completed_count(), 400);
     let mean_bits = metrics.completion_summary().mean().to_bits();
     assert_eq!(mean_bits, 0x40c9_7358_584f_4c6d, "completion mean");
@@ -158,4 +163,48 @@ fn gossip_baseline_matches_recorded_golden() {
     // 99.4 nodes known per cache, the node's own entry included.
     assert_eq!(grid.avg_cache_coverage().to_bits(), 0x4058_d999_9999_999a, "cache coverage");
     assert_eq!(completions_hash, 0x41a2_6450_b795_6485, "per-job completion times");
+}
+
+/// Keeps the deepest pending-event count the world's gauge reports.
+#[derive(Default)]
+struct PeakPending(u64);
+
+impl Probe for PeakPending {
+    fn record(&mut self, _now: SimTime, event: ProbeEvent) {
+        if let ProbeEvent::Gauge { peak_events, .. } = event {
+            self.0 = self.0.max(peak_events);
+        }
+    }
+}
+
+/// The goldens above run queues a few dozen events deep. This one pins a
+/// 2,000-node random-regular world over 2 h, whose queue holds thousands
+/// of pending events (one INFORM tick per node plus the in-flight
+/// floods), so the event queue's ordering is exercised at depth.
+#[test]
+fn deep_queue_world_matches_recorded_golden() {
+    let config = WorldConfig {
+        nodes: 2_000,
+        overlay: OverlayKind::RandomRegular { degree: 4 },
+        horizon: SimTime::from_hours(2),
+        ..WorldConfig::paper_baseline()
+    };
+    let mut world = World::with_probe(config, 5, PeakPending::default());
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(1), SimDuration::from_secs(6), 200);
+    world.submit_schedule(&schedule, &mut JobGenerator::paper_batch());
+    world.run();
+    let metrics = world.metrics();
+    let traffic = metrics.traffic();
+    assert_eq!(world.topology().link_count(), 4_000, "overlay links");
+    assert_eq!(world.processed_events(), 450_738, "events processed");
+    assert_eq!(world.probe().0, 3_274, "peak pending events");
+    assert_eq!(metrics.completed_count(), 200);
+    assert_eq!(traffic.total_messages(), 400_105, "total messages");
+    assert_eq!(traffic.messages(TrafficClass::Request), 360_444, "REQUEST count");
+    assert_eq!(traffic.messages(TrafficClass::Accept), 32_428, "ACCEPT count");
+    assert_eq!(traffic.messages(TrafficClass::Inform), 7_035, "INFORM count");
+    assert_eq!(traffic.messages(TrafficClass::Assign), 198, "ASSIGN count");
+    let mean_bits = metrics.completion_summary().mean().to_bits();
+    assert_eq!(mean_bits, 0x40b2_4ac1_e796_7cb5, "completion mean");
+    assert_eq!(completions_hash(metrics), 0xdfae_0982_7394_602a, "per-job completion times");
 }
