@@ -260,9 +260,10 @@ impl<P: aria_probe::Probe> World<P> {
                 }
                 // The copy is a transport artifact: it pays no traffic
                 // (record_message charged the logical send already).
-                // effects:allow(deliver-choke): model-checker action replay
-                // re-enqueues an already-transmitted delivery; this is the
-                // exploration driver, not handler code.
+                // Model-checker action replay re-enqueues an
+                // already-transmitted delivery; this is the exploration
+                // driver, not handler code.
+                // det:allow(deliver-choke): model-checker action replay
                 self.events.schedule(self.events.now(), Event::Deliver { to, msg });
             }
             Action::Timer => {

@@ -45,7 +45,6 @@ use aria_sim::{SimDuration, SimTime};
 use aria_workload::ArtModel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Re-exported so `cargo xtask explore` can hold counterexample traces
 // without depending on `aria-core` directly.
@@ -284,10 +283,10 @@ impl Explorer {
     }
 
     /// Like [`Explorer::run`], but precomputing each BFS level's
-    /// transitions on worker threads drawn from the shared
-    /// [`aria_sim::pool`]. The expensive work per edge — cloning the
-    /// parent world and stepping the real handlers, then running the
-    /// per-state safety checks — is a pure function of the frozen
+    /// transitions on up to `workers` lanes
+    /// ([`aria_sim::pool::map_ordered`]). The expensive work per edge —
+    /// cloning the parent world and stepping the real handlers, then
+    /// running the per-state safety checks — is a pure function of the frozen
     /// `(state, action)` pair, so the edges of one level fan out freely;
     /// every *stateful* decision (counter updates, dedup against
     /// `visited`, both truncation bounds, and which violation is
@@ -301,11 +300,7 @@ impl Explorer {
     /// level-synchronous loop below is the serial iteration order, not
     /// an approximation of it.
     pub fn run_parallel(&self, workers: usize) -> (ExploreStats, Option<Violation>) {
-        // The calling thread is one lane; only the extras draw permits.
-        // A zero grant (budget exhausted, or workers <= 1) falls back to
-        // the serial search rather than waiting.
-        let reservation = aria_sim::pool::reserve(workers.saturating_sub(1));
-        if reservation.workers() == 0 {
+        if workers <= 1 {
             return self.run();
         }
         let mut stats = ExploreStats::default();
@@ -331,7 +326,7 @@ impl Explorer {
                 }
                 items.extend(menu.iter().map(|&action| (i, action)));
             }
-            let mut results = self.expand(&level, &items, reservation.workers()).into_iter();
+            let mut results = self.expand(&level, &items, workers).into_iter();
 
             // Serial consumption, replicating `run()` decision for
             // decision. Edges computed past an early return are simply
@@ -376,14 +371,14 @@ impl Explorer {
 
     /// Computes `(apply(parent, action), check_state(..))` for every
     /// work item of one BFS level, returned **in item order**. Each item
-    /// depends only on the frozen parent level, so workers claim indices
-    /// off a shared cursor and the tagged results are re-sorted — the
-    /// merge is deterministic regardless of thread interleaving.
+    /// depends only on the frozen parent level, so the items fan out
+    /// over `workers` lanes and the merge is deterministic regardless of
+    /// thread interleaving.
     fn expand(
         &self,
         level: &[SearchNode],
         items: &[(usize, Action)],
-        extra_workers: usize,
+        workers: usize,
     ) -> Vec<(SearchNode, Option<String>)> {
         let evaluate = |&(i, action): &(usize, Action)| {
             let next = self.apply(&level[i], action);
@@ -392,32 +387,10 @@ impl Explorer {
         };
         // The first few levels of every search are tiny; a fan-out there
         // costs more than the edges themselves.
-        if extra_workers == 0 || items.len() < 8 {
+        if items.len() < 8 {
             return items.iter().map(evaluate).collect();
         }
-        let cursor = AtomicUsize::new(0);
-        let worker = || {
-            let mut out = Vec::new();
-            loop {
-                let j = cursor.fetch_add(1, Ordering::Relaxed);
-                if j >= items.len() {
-                    break;
-                }
-                let (next, verdict) = evaluate(&items[j]);
-                out.push((j, next, verdict));
-            }
-            out
-        };
-        let mut tagged: Vec<(usize, SearchNode, Option<String>)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..extra_workers).map(|_| scope.spawn(worker)).collect();
-            tagged.extend(worker());
-            for handle in handles {
-                tagged.extend(handle.join().expect("model expansion worker panicked"));
-            }
-        });
-        tagged.sort_unstable_by_key(|&(j, _, _)| j);
-        tagged.into_iter().map(|(_, next, verdict)| (next, verdict)).collect()
+        aria_sim::pool::map_ordered(items, workers, evaluate)
     }
 
     /// Replays an action trace on a fresh world, re-checking every

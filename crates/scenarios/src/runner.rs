@@ -6,7 +6,6 @@ use aria_metrics::{DeadlineStats, TrafficClass, TrafficLedger};
 use aria_probe::{NullProbe, Probe, RingRecorder, Trace, TraceMeta};
 use aria_sim::{Summary, TimeSeries};
 use aria_workload::JobGenerator;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Compact statistics of one `(scenario, seed)` simulation run.
 #[derive(Debug, Clone)]
@@ -173,17 +172,6 @@ impl ScenarioResult {
 
 /// Executes scenarios across seeds.
 ///
-/// Which event loop a `run_once*` call drives the world with. Both
-/// executors produce bit-for-bit identical trajectories; the choice
-/// only affects wall time.
-#[derive(Debug, Clone, Copy)]
-enum Exec {
-    /// [`World::run`] (or [`World::run_checked`] under `checked`).
-    Serial { checked: bool },
-    /// [`World::run_sharded`] with this shard count.
-    Sharded { shards: usize },
-}
-
 /// At paper scale each run simulates 500-700 nodes for 41h40m of grid
 /// time; [`Runner::scaled`] provides a shrunken variant for tests,
 /// examples and quick iterations.
@@ -193,23 +181,22 @@ pub struct Runner {
     nodes: Option<usize>,
     /// Override for the job count (`None` = paper scale).
     jobs: Option<usize>,
-    /// Upper bound on lanes for the seed fan-out, the calling thread
-    /// included; the extra threads are capped by the shared
-    /// [`aria_sim::pool`] permit budget.
+    /// Lanes for the seed fan-out, the calling thread included
+    /// ([`aria_sim::pool::map_ordered`]).
     workers: usize,
 }
 
 impl Runner {
     /// A full paper-scale runner.
     pub fn paper() -> Self {
-        Runner { nodes: None, jobs: None, workers: Self::default_workers() }
+        Runner { nodes: None, jobs: None, workers: aria_sim::pool::default_lanes() }
     }
 
     /// A scaled-down runner with the given node and job counts
     /// (submission interval and horizon are kept, so load *per node*
     /// rises as the grid shrinks).
     pub fn scaled(nodes: usize, jobs: usize) -> Self {
-        Runner { nodes: Some(nodes), jobs: Some(jobs), workers: Self::default_workers() }
+        Runner { nodes: Some(nodes), jobs: Some(jobs), workers: aria_sim::pool::default_lanes() }
     }
 
     /// Sets the number of lanes the seed fan-out may use, the calling
@@ -217,10 +204,6 @@ impl Runner {
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    fn default_workers() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     /// The node count used for `fallback`-sized worlds under this
@@ -304,6 +287,10 @@ impl Runner {
     /// reliable) [`aria_core::FaultPlan`]. With [`aria_core::FaultPlan::none`]
     /// this is exactly `run_once_instrumented` — the robustness
     /// campaigns in [`crate::sweep`] build on this entry point.
+    ///
+    /// This is the run core behind every `run_once*` flavour: it builds
+    /// the world, runs it (audited after every event under `checked`),
+    /// and collects the statistics.
     pub fn run_once_faulted<P: Probe>(
         &self,
         scenario: Scenario,
@@ -312,62 +299,15 @@ impl Runner {
         checked: bool,
         probe: P,
     ) -> (RunStats, World<P>) {
-        self.run_once_exec(scenario, seed, fault, Exec::Serial { checked }, probe)
-    }
-
-    /// Like [`Runner::run_once_traced`], but drives the world with the
-    /// latency-horizon sharded executor ([`World::run_sharded`]) instead
-    /// of the serial event loop. The two produce bit-for-bit identical
-    /// trajectories, so the exported traces must be `probe diff`-equal —
-    /// CI uses exactly that comparison as the sharded determinism gate.
-    pub fn run_once_traced_sharded(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        shards: usize,
-    ) -> (RunStats, Trace) {
-        let (stats, world) = self.run_once_exec(
-            scenario,
-            seed,
-            aria_core::FaultPlan::none(),
-            Exec::Sharded { shards },
-            RingRecorder::default(),
-        );
-        let meta = TraceMeta {
-            scenario: scenario.to_string(),
-            seed,
-            nodes: world.config().nodes as u64,
-            jobs: self.schedule_for(scenario).count() as u64,
-        };
-        (stats, world.into_probe().into_trace(meta))
-    }
-
-    /// The shared run core behind every `run_once*` flavour: builds the
-    /// world, drives it with the selected executor, and collects the
-    /// statistics.
-    fn run_once_exec<P: Probe>(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        fault: aria_core::FaultPlan,
-        exec: Exec,
-        probe: P,
-    ) -> (RunStats, World<P>) {
         let mut world = self.build_world(scenario, seed, fault, probe);
         // Timing the loop from outside is pure observability: the
         // reading is reported, never fed back into the simulation.
         #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
         let start = std::time::Instant::now(); // det:allow(wall-clock): observability-only timing around the run
-        match exec {
-            Exec::Serial { checked: true } => {
-                world.run_checked();
-            }
-            Exec::Serial { checked: false } => {
-                world.run();
-            }
-            Exec::Sharded { shards } => {
-                world.run_sharded(shards);
-            }
+        if checked {
+            world.run_checked();
+        } else {
+            world.run();
         }
         let wall_time_secs = start.elapsed().as_secs_f64();
 
@@ -404,11 +344,8 @@ impl Runner {
     /// and the scenario's workload already scheduled.
     ///
     /// Every `run_once*` entry point goes through here, so a caller
-    /// that needs a different run loop (the effect-tracer audit of
-    /// `cargo xtask effects --audit` and `tests/effects_map.rs`
-    /// replaying the determinism goldens under
-    /// [`World::run_effect_traced`]) is guaranteed to drive a
-    /// bit-identical world.
+    /// that drives the world itself (the benchmark's layer-by-layer
+    /// runs) is guaranteed to drive a bit-identical world.
     pub fn build_world<P: Probe>(
         &self,
         scenario: Scenario,
@@ -451,32 +388,12 @@ impl Runner {
             .flat_map(|(i, &s)| seeds.iter().map(move |&seed| (i, s, seed)))
             .collect();
 
-        // The calling thread is one lane; the extra lanes draw permits
-        // from the process-wide budget (`aria_sim::pool`), shared with
-        // the shard executor, so concurrent runners times shards never
-        // exceeds the core count. Each lane claims the next pair from a
-        // shared cursor until the list is exhausted. With no extra lane
-        // granted the caller runs every pair; results are identical
-        // either way, only wall-clock time changes.
-        let reservation =
-            aria_sim::pool::reserve((self.workers - 1).min(pairs.len().saturating_sub(1)));
-        let next = AtomicUsize::new(0);
-        let lane = || {
-            let mut out = Vec::new();
-            while let Some(&(i, scenario, seed)) = pairs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                out.push((i, self.run_once(scenario, seed)));
-            }
-            out
-        };
-        let mut runs: Vec<(usize, RunStats)> = Vec::with_capacity(pairs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..reservation.workers()).map(|_| scope.spawn(lane)).collect();
-            runs.extend(lane());
-            for handle in handles {
-                runs.extend(handle.join().expect("scenario run panicked"));
-            }
+        // Runs come back in pair order at any lane count, so only wall
+        // time depends on the lanes; each scenario's seeds then merge in
+        // ascending order, whatever order they were given in.
+        let mut runs = aria_sim::pool::map_ordered(&pairs, self.workers, |&(i, scenario, seed)| {
+            (i, self.run_once(scenario, seed))
         });
-
         runs.sort_by_key(|(i, run)| (*i, run.seed));
         let mut results: Vec<ScenarioResult> = scenarios
             .iter()
@@ -578,17 +495,11 @@ mod tests {
     fn parallel_and_serial_agree() {
         let serial = outcome(&tiny().workers(1).run(Scenario::Mixed, &[2, 1]));
         assert_eq!(serial.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
-        // More lanes than pairs: the extra lanes find nothing to claim.
+        // More lanes than pairs: the extra lanes are never started.
         for lanes in [2, 4, 8] {
             let parallel = outcome(&tiny().workers(lanes).run(Scenario::Mixed, &[2, 1]));
             assert_eq!(serial, parallel, "{lanes} lanes");
         }
-        // With the whole pool budget held elsewhere, no extra lane is
-        // granted and the caller runs every pair itself.
-        let held = aria_sim::pool::reserve(usize::MAX);
-        let starved = outcome(&tiny().workers(8).run(Scenario::Mixed, &[2, 1]));
-        drop(held);
-        assert_eq!(serial, starved, "zero grant");
     }
 
     #[test]

@@ -295,15 +295,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event together with its timestamp,
     /// advancing the queue clock, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(at, _, event)| (at, event))
-    }
-
-    /// Like [`EventQueue::pop`] but also exposing the popped event's FIFO
-    /// sequence number. Drivers that audit delivery use the number to
-    /// tell pre-existing events from freshly scheduled ones — the sharded
-    /// executor checks every in-window delivery against the sequence
-    /// boundary captured at the window barrier.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.occupied & 1 == 0 {
             if self.occupied == 0 {
                 return None;
@@ -311,23 +302,14 @@ impl<E> EventQueue<E> {
             self.refill();
         }
         let slot = self.heads[0];
-        let entry = &self.slab[slot as usize];
-        let (next, seq) = (entry.next(), entry.seq);
+        let next = self.slab[slot as usize].next();
         self.heads[0] = next;
         if next == NIL {
             self.tails[0] = NIL;
             self.occupied &= !1;
         }
         self.now = SimTime::from_millis(self.last);
-        Some((self.now, seq, self.release(slot)))
-    }
-
-    /// The sequence number the next [`EventQueue::schedule`] call will
-    /// assign. Every currently pending event carries a smaller number, so
-    /// this is the boundary between "was pending at this instant" and
-    /// "scheduled afterwards".
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        Some((self.now, self.release(slot)))
     }
 
     /// The timestamp of the next event without removing it. O(1): the
@@ -428,22 +410,6 @@ impl<E> EventQueue<E> {
             let event = entry.event.as_ref()?;
             Some((SimTime::from_millis(entry.at()), entry.seq, event))
         })
-    }
-
-    /// Visits every pending entry scheduled strictly before `bound`, in
-    /// unspecified order. Buckets are visited lowest first and the walk
-    /// stops at the first bucket whose minimum is at or past the bound,
-    /// so the cost is the size of the buckets overlapping the window, not
-    /// the whole queue. This keeps the sharded executor's per-window
-    /// snapshot cheap.
-    pub fn entries_before(&self, bound: SimTime, mut visit: impl FnMut(SimTime, u64, &E)) {
-        let bound = bound.as_millis();
-        for b in self.buckets().take_while(|&b| self.min_of(b) < bound) {
-            for (_, entry) in self.list(b).filter(|(_, e)| e.at() < bound) {
-                let event = entry.event.as_ref().expect("pending");
-                visit(SimTime::from_millis(entry.at()), entry.seq, event);
-            }
-        }
     }
 
     /// Iterates over every pending event in unspecified (slab) order.
@@ -711,43 +677,6 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert!(seen[0].1 < seen[1].1, "seq must break the tie");
         assert_eq!((seen[0].2, seen[1].2), ('a', 'b'));
-    }
-
-    #[test]
-    fn pop_entry_exposes_the_seq_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 'a');
-        q.schedule(SimTime::from_secs(1), 'b');
-        let boundary = q.next_seq();
-        assert_eq!(boundary, 2);
-        let (_, seq_a, a) = q.pop_entry().unwrap();
-        assert_eq!((seq_a, a), (0, 'a'));
-        // An event scheduled after the boundary capture gets a number at
-        // or above it — the property the sharded window audit relies on.
-        q.schedule(SimTime::from_secs(2), 'c');
-        q.pop_entry().unwrap();
-        let (_, seq_c, c) = q.pop_entry().unwrap();
-        assert_eq!(c, 'c');
-        assert!(seq_c >= boundary);
-    }
-
-    #[test]
-    fn entries_before_matches_a_full_filtered_scan() {
-        let mut q = EventQueue::new();
-        // Pseudo-shuffled times, so pruning has to cut real subtrees.
-        for i in 0..200u64 {
-            q.schedule(SimTime::from_millis(997 * i % 400), i);
-        }
-        for bound_ms in [0u64, 1, 150, 399, 400, 10_000] {
-            let bound = SimTime::from_millis(bound_ms);
-            let mut pruned: Vec<(SimTime, u64, u64)> = Vec::new();
-            q.entries_before(bound, |at, seq, &e| pruned.push((at, seq, e)));
-            let mut full: Vec<(SimTime, u64, u64)> =
-                q.entries().filter(|&(at, _, _)| at < bound).map(|(a, s, &e)| (a, s, e)).collect();
-            pruned.sort_unstable();
-            full.sort_unstable();
-            assert_eq!(pruned, full, "bound {bound_ms}ms");
-        }
     }
 
     #[test]

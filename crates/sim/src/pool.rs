@@ -1,127 +1,106 @@
-//! Shared bounded worker-permit pool.
+//! Ordered fan-out over scoped worker threads.
 //!
-//! Every parallel surface in the workspace — the multi-seed scenario
-//! [`Runner`](../../scenarios), the sharded deterministic executor in
-//! `aria_core::shard`, the explorer's frontier fan-out — draws its
-//! worker threads from one process-wide budget sized to the machine's
-//! core count. Without a shared budget, nested parallelism multiplies:
-//! N scenario workers each running an M-shard world would put N×M
-//! threads on the scheduler, and oversubscription turns a speedup into
-//! context-switch thrash.
-//!
-//! The pool hands out *permits*, not threads. A caller that wants up to
-//! `n` workers calls [`reserve`], receives a [`Reservation`] granting
-//! `min(n, permits still available)` (possibly zero — the caller then
-//! runs serially on its own thread), spawns that many *scoped* threads,
-//! and returns the permits when the reservation drops. The calling
-//! thread itself is never counted: it is already scheduled.
-//!
-//! [`reserve`] never blocks. Blocking would deadlock the nested case
-//! (a runner worker reserving shard permits while the runner holds the
-//! rest), and determinism never depends on the grant anyway: each
-//! consumer produces bit-identical results at any worker count,
-//! including zero. The budget only shapes wall-clock time.
+//! [`map_ordered`] is the workspace's one parallel primitive. The
+//! multi-seed scenario runner, `cargo xtask chaos` and the model
+//! checker's level expansion all fan independent, deterministic items out
+//! with it; none of them nests a fan-out inside another, so a lane count
+//! per call is the whole budget. Results come back in input order, so
+//! every caller's output is byte-identical at any lane count — only wall
+//! time changes.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide count of unreserved worker permits.
+/// The default lane count: the machine's available parallelism (1 when
+/// it cannot be queried).
+pub fn default_lanes() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Applies `f` to every item on up to `lanes` lanes and returns the
+/// results in input order.
 ///
-/// Initialized on first use to `available_parallelism - 1` (the calling
-/// thread is already running; a budget of the full core count would
-/// oversubscribe by one per nesting level).
-static AVAILABLE: OnceLock<Mutex<usize>> = OnceLock::new();
-
-fn budget() -> &'static Mutex<usize> {
-    AVAILABLE.get_or_init(|| Mutex::new(default_budget()))
-}
-
-/// The initial permit budget: one less than the core count, floor 1.
-pub fn default_budget() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().saturating_sub(1).max(1))
-}
-
-/// A grant of worker permits, returned to the shared budget on drop.
-///
-/// The grant may be smaller than requested — including zero, in which
-/// case the caller should run its work serially on the current thread.
-#[derive(Debug)]
-pub struct Reservation {
-    granted: usize,
-}
-
-impl Reservation {
-    /// Number of worker threads this reservation entitles the holder to
-    /// spawn (in addition to the calling thread).
-    pub fn workers(&self) -> usize {
-        self.granted
+/// The calling thread is one lane; the others are scoped threads, at
+/// most one per item beyond the first, so `lanes <= 1` or a single item
+/// runs serially with no thread at all. Every lane claims the next index
+/// from a shared cursor until the items run out, so a slow item never
+/// holds a lane's queue hostage. A panic in `f` propagates to the caller
+/// with its original payload once every lane has stopped.
+pub fn map_ordered<T, R, F>(items: &[T], lanes: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let extra = lanes.min(items.len()).saturating_sub(1);
+    if extra == 0 {
+        return items.iter().map(f).collect();
     }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        if self.granted > 0 {
-            let mut avail = budget().lock().expect("worker-permit budget poisoned");
-            *avail += self.granted;
+    let next = AtomicUsize::new(0);
+    let lane = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            out.push((i, f(item)));
         }
-    }
-}
-
-/// Reserves up to `want` worker permits from the shared budget.
-///
-/// Returns immediately with a grant of `min(want, available)`; never
-/// blocks, so nested reservations (scenario runner → shard executor)
-/// cannot deadlock. A zero grant means the budget is exhausted and the
-/// caller should fall back to running serially.
-pub fn reserve(want: usize) -> Reservation {
-    if want == 0 {
-        return Reservation { granted: 0 };
-    }
-    let mut avail = budget().lock().expect("worker-permit budget poisoned");
-    let granted = want.min(*avail);
-    *avail -= granted;
-    Reservation { granted }
+        out
+    };
+    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..extra).map(|_| scope.spawn(lane)).collect();
+        tagged.extend(lane());
+        for handle in handles {
+            tagged.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+    });
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The tests share one process-global budget, so each exercises only
-    // relative behaviour (what it took comes back) rather than absolute
-    // availability, keeping them order-independent under parallel `cargo
-    // test`.
-
-    #[test]
-    fn grant_is_bounded_by_request() {
-        let r = reserve(1);
-        assert!(r.workers() <= 1);
+    /// Uneven work per item, so lanes finish out of order.
+    fn slow_square(&x: &u64) -> u64 {
+        let mut acc = x;
+        for k in 0..(x % 7) * 20_000 {
+            acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+        }
+        std::hint::black_box(acc);
+        x * x
     }
 
     #[test]
-    fn zero_request_takes_nothing() {
-        let r = reserve(0);
-        assert_eq!(r.workers(), 0);
+    fn results_come_back_in_input_order_at_any_lane_count() {
+        let items: Vec<u64> = (0..40).rev().collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for lanes in [1, 2, 4, 8] {
+            assert_eq!(map_ordered(&items, lanes, slow_square), expected, "{lanes} lanes");
+        }
     }
 
     #[test]
-    fn dropping_a_reservation_returns_its_permits() {
-        let first = reserve(usize::MAX);
-        let taken = first.workers();
-        // Everything is reserved now; a second request gets nothing.
-        assert_eq!(reserve(1).workers(), 0);
-        drop(first);
-        // After the drop the permits are back.
-        let again = reserve(usize::MAX);
-        assert_eq!(again.workers(), taken);
+    fn more_lanes_than_items_leaves_the_extra_lanes_idle() {
+        let items = [3u64, 1, 2];
+        assert_eq!(map_ordered(&items, 8, slow_square), [9, 1, 4]);
+        assert_eq!(map_ordered(&items[..1], 8, slow_square), [9]);
     }
 
     #[test]
-    fn budget_never_goes_negative() {
-        let a = reserve(2);
-        let b = reserve(usize::MAX);
-        let c = reserve(usize::MAX);
-        assert_eq!(c.workers(), 0);
-        drop(a);
-        drop(b);
+    fn empty_input_yields_empty_output() {
+        let items: [u64; 0] = [];
+        assert!(map_ordered(&items, 4, slow_square).is_empty());
+        assert!(map_ordered(&items, 0, slow_square).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn a_panicking_item_propagates_to_the_caller() {
+        let items: Vec<u64> = (0..16).collect();
+        map_ordered(&items, 4, |&x| {
+            assert!(x != 5, "item {x} failed");
+            x
+        });
     }
 }

@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut nodes = 24usize;
     let mut jobs = 18usize;
-    let mut workers = aria_sim::pool::default_budget() + 1;
+    let mut workers = aria_sim::pool::default_lanes();
     let mut self_check = false;
     let mut sweep = false;
     // `--shrink-out PATH` takes a string value, so it is stripped before
@@ -255,39 +255,12 @@ fn chaos(
     ExitCode::SUCCESS
 }
 
-/// Executes every case (allow-list `None`) across worker threads drawn
-/// from the shared `aria_sim::pool`, returning outcomes **in case
-/// order**. Each run is independent and deterministic in its case, so
-/// workers claim indices off a shared cursor and the tagged results are
-/// re-sorted — the merge order never depends on thread timing.
+/// Executes every case (allow-list `None`) on up to `workers` lanes,
+/// returning outcomes **in case order**. Each run is independent and
+/// deterministic in its case, so the merge order never depends on
+/// thread timing.
 fn run_cases(cases: &[ChaosCase], workers: usize) -> Vec<RunOutcome> {
-    let reservation = aria_sim::pool::reserve(workers.saturating_sub(1));
-    let extra = reservation.workers().min(cases.len().saturating_sub(1));
-    if extra == 0 {
-        return cases.iter().map(|case| case.execute_plain(None)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let worker = || {
-        let mut out = Vec::new();
-        loop {
-            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if k >= cases.len() {
-                break;
-            }
-            out.push((k, cases[k].execute_plain(None)));
-        }
-        out
-    };
-    let mut tagged: Vec<(usize, RunOutcome)> = Vec::with_capacity(cases.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..extra).map(|_| scope.spawn(worker)).collect();
-        tagged.extend(worker());
-        for handle in handles {
-            tagged.extend(handle.join().expect("chaos schedule worker panicked"));
-        }
-    });
-    tagged.sort_unstable_by_key(|&(k, _)| k);
-    tagged.into_iter().map(|(_, outcome)| outcome).collect()
+    aria_sim::pool::map_ordered(cases, workers, |case| case.execute_plain(None))
 }
 
 /// Greedy keep-list shrink: try removing one surviving injection at a

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 pub fn run(args: &[String]) -> ExitCode {
     let mut config = ModelConfig::default();
     let mut self_check = false;
-    let mut workers = aria_sim::pool::default_budget() + 1;
+    let mut workers = aria_sim::pool::default_lanes();
     // `--trace-out PATH` takes a string value, so it is stripped before
     // the numeric-flag loop below.
     let mut args = args.to_vec();

@@ -1,27 +1,15 @@
 //! Workspace automation (`cargo xtask <command>`).
 //!
-//! Five commands:
+//! Four commands:
 //!
 //! * `lint` — the determinism & protocol-hygiene gate described in
 //!   DESIGN.md §8. It walks the sim-reachable sources with a
 //!   dependency-free lexer (the build has no registry access, so no
-//!   `syn`), applies the rules in [`rules`], checks every crate root for
-//!   the mandatory hygiene attributes, and exits non-zero with
-//!   `file:line` diagnostics on any violation.
-//! * `effects` — the effect-map analyzer described in DESIGN.md §13: a
-//!   method-level pass over the `World` handler call graph that
-//!   classifies every `self.<field>` access into effect classes,
-//!   enforces the parallel-safety rules (transmit choke point, forked
-//!   RNG stream ownership, no handler-reachable unordered containers),
-//!   and emits the committed `EFFECTS.json` the sharded runner will be
-//!   built along (see [`effects`]).
-//! * `horizon` — the latency-horizon analyzer described in DESIGN.md
-//!   §14: proves every cross-node event flows through `World::transmit`
-//!   with a delay bounded below by the link-latency floor, classifies
-//!   every event variant as cross-node / shard-local / global against
-//!   the `EFFECTS.json` partition, and commits `HORIZON.json` — the
-//!   contract the sharded deterministic runner (`aria_core::shard`)
-//!   loads and revalidates at runtime (see [`horizon`]).
+//!   `syn`), applies the rules in [`rules`] — the token bans plus the
+//!   structural deliver-choke, fork-stream and handler-collections
+//!   rules — checks every crate root for the mandatory hygiene
+//!   attributes, and exits non-zero with `file:line` diagnostics on any
+//!   violation.
 //! * `explore` — bounded exhaustive exploration of the ARiA message
 //!   state machine over every delivery ordering of a small world (see
 //!   [`explore`] and `crates/model`).
@@ -37,13 +25,6 @@
 //! cargo xtask lint                  # gate the workspace
 //! cargo xtask lint --self-check     # prove the gate still catches seeded violations
 //! cargo xtask lint --list           # print the files the gate scans
-//! cargo xtask effects               # regenerate EFFECTS.json + summary
-//! cargo xtask effects --check       # diff regeneration against the committed map
-//! cargo xtask effects --self-check  # prove the analyzer catches planted violations
-//! cargo xtask effects --audit       # runtime tracer: observed ⊆ static on goldens
-//! cargo xtask horizon               # regenerate HORIZON.json + summary
-//! cargo xtask horizon --check       # diff regeneration against the committed contract
-//! cargo xtask horizon --self-check  # prove the analyzer catches planted violations
 //! cargo xtask explore --nodes 4     # enumerate a 4-node world's orderings
 //! cargo xtask explore --self-check  # prove the checker still catches violations
 //! cargo xtask probe run --scenario iMixed --scale 40 80 --out t.jsonl
@@ -56,9 +37,7 @@
 #![deny(rust_2018_idioms)]
 
 mod chaos;
-mod effects;
 mod explore;
-mod horizon;
 mod probe;
 mod rules;
 mod scan;
@@ -87,16 +66,13 @@ fn main() -> ExitCode {
                 lint(&workspace_root())
             }
         }
-        Some("effects") => effects::run(&args[1..]),
-        Some("horizon") => horizon::run(&args[1..]),
         Some("explore") => explore::run(&args[1..]),
         Some("probe") => probe::run(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-check|--list] \
-                 | effects [--check|--self-check|--audit] | horizon [--check|--self-check] \
-                 | explore [flags] | probe <cmd> | chaos [flags]>"
+                "usage: cargo xtask <lint [--self-check|--list] | explore [flags] \
+                 | probe <cmd> | chaos [flags]>"
             );
             ExitCode::FAILURE
         }
@@ -214,6 +190,56 @@ fn self_check_gate() -> ExitCode {
             eprintln!("self-check: rule `{rule}` missed its seeded violation:\n{fixture}");
             broken += 1;
         }
+    }
+    // The structural rules, planted in the world's handler file: a
+    // Deliver scheduled outside `transmit`, a non-literal fork id, one
+    // stream forked from two fns, and an escaped hash collection.
+    let transmit = "fn transmit(&mut self, to: NodeId, msg: Message) {\n\
+                    \x20   self.events.schedule(self.now + LAG, Event::Deliver { to, msg });\n}\n";
+    let structural: &[(&str, String)] = &[
+        (
+            "deliver-choke",
+            format!(
+                "{transmit}fn shortcut(&mut self) {{\n\
+                 \x20   self.events.schedule(t, Event::Deliver {{ to, msg }});\n}}\n"
+            ),
+        ),
+        ("fork-stream", "fn overlay(&mut self, k: u64) { self.rng.fork(k); }\n".to_string()),
+        (
+            "fork-stream",
+            "fn overlay(&mut self) { let r = self.rng.fork(1); }\n\
+             fn profiles(&mut self) { let r = self.rng.fork(1); }\n"
+                .to_string(),
+        ),
+        (
+            "handler-collections",
+            "// det:allow(hash-collections): planted\nlet seen: HashSet<NodeId> = HashSet::new();\n"
+                .to_string(),
+        ),
+    ];
+    for (rule, fixture) in structural {
+        let diags = rules::check_determinism(rules::WORLD_FILE, fixture);
+        if !diags.iter().any(|d| d.rule == *rule) {
+            eprintln!("self-check: rule `{rule}` missed its planted violation:\n{fixture}");
+            broken += 1;
+        }
+    }
+    // ... and none of them fires on the legitimate shapes: Deliver inside
+    // `transmit`, one owner per literal stream, an escaped map outside
+    // the world's file, and test modules (cut before the scan).
+    let sound = format!(
+        "{transmit}fn overlay(&mut self) {{ let r = self.rng.fork(1); }}\n\
+         fn profiles(&mut self) {{ let r = self.rng.fork(2); }}\n\
+         #[cfg(test)]\nmod tests {{\n    fn again() {{ let r = rng.fork(1); }}\n}}\n"
+    );
+    let escaped = "// det:allow(hash-collections): fixture\nlet seen = HashSet::new();\n";
+    let over = [
+        rules::check_determinism(rules::WORLD_FILE, &sound),
+        rules::check_determinism("crates/core/src/fixture.rs", escaped),
+    ];
+    if over.iter().any(|diags| !diags.is_empty()) {
+        eprintln!("self-check: structural rules over-match sound code: {over:?}");
+        broken += 1;
     }
     // Allowlists must suppress — and only for the named rule.
     let allowed = "let m = HashMap::new(); // det:allow(hash-collections): fixture\n";

@@ -10,9 +10,17 @@
 //! seconds, needs no type information, and covers things clippy's config
 //! cannot express (required crate attributes, reduction heuristics,
 //! reason-carrying allowlists).
+//!
+//! Three structural rules guard the serial event loop itself
+//! ([`check_structure`]): `Event::Deliver` is scheduled only inside
+//! `World::transmit` (**deliver-choke**), every RNG stream is forked
+//! with a literal id from exactly one fn per file (**fork-stream**),
+//! and the world's handlers never escape the hash-collection ban
+//! (**handler-collections**).
 
-use crate::scan::{contains_word, split_channels, Line};
-use crate::source::expr_start;
+use crate::scan::{contains_word, enclosing_fn, find_words, parse_fns, split_channels, Code, Line};
+use crate::source::{expr_start, skip_balanced};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A lint diagnostic pointing at one source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +51,14 @@ struct Rule {
     why: &'static str,
 }
 
-/// Randomized-layout collection patterns. Shared with the effect-map
-/// analyzer ([`crate::effects`]), whose handler-reachability rule
-/// re-applies them to `World` handler closures *without* honoring
-/// `det:allow` escapes — an allowlisted map elsewhere in a file must not
-/// leak into the parallel-safety-critical handler code.
-pub const HASH_PATTERNS: &[&str] =
+/// Randomized-layout collection patterns.
+const HASH_PATTERNS: &[&str] =
     &["HashMap", "HashSet", "hash_map", "hash_set", "DefaultHasher", "RandomState"];
+
+/// The file holding `World`, its handlers and `fn transmit`: the one
+/// place `Event::Deliver` may be scheduled, and the one file where
+/// `det:allow(hash-collections)` is refused.
+pub const WORLD_FILE: &str = "crates/core/src/world.rs";
 
 /// The determinism rules applied to sim-reachable sources.
 const RULES: &[Rule] = &[
@@ -74,9 +83,9 @@ const RULES: &[Rule] = &[
         name: "thread-spawn",
         patterns: &["thread::spawn", "ThreadPool", "threadpool", "rayon"],
         why: "ambient threading: free-running threads and global pools make scheduling \
-              nondeterministic and oversubscribe cores; use scoped threads (std::thread::scope) \
-              drawing worker permits from aria_sim::pool, as the multi-seed runner and the \
-              shard executor do",
+              nondeterministic and oversubscribe cores; fan out with \
+              aria_sim::pool::map_ordered (scoped threads, results in input order), as the \
+              multi-seed runner, xtask chaos and the model checker do",
     },
     Rule {
         name: "io-purity",
@@ -121,7 +130,9 @@ fn allowed(lines: &[Line], index: usize, rule: &str) -> bool {
     index > 0 && lines[index - 1].comment.contains(&marker)
 }
 
-/// Applies the determinism rules to one sim-reachable source file.
+/// Applies the determinism rules to one sim-reachable source file
+/// (`path` is workspace-relative), plus the structural rules when the
+/// file is crate source under `src/`.
 pub fn check_determinism(path: &str, source: &str) -> Vec<Diagnostic> {
     let lines = split_channels(source);
     let mut diagnostics = Vec::new();
@@ -135,6 +146,17 @@ pub fn check_determinism(path: &str, source: &str) -> Vec<Diagnostic> {
                         line: line.number,
                         rule: rule.name,
                         message: format!("`{pattern}` is forbidden here: {}", rule.why),
+                    });
+                } else if rule.name == "hash-collections" && path == WORLD_FILE {
+                    diagnostics.push(Diagnostic {
+                        path: path.to_string(),
+                        line: line.number,
+                        rule: "handler-collections",
+                        message: format!(
+                            "`{pattern}` in the world's handler file: hash iteration order leaks \
+                             into the event schedule, so det:allow(hash-collections) is refused \
+                             here"
+                        ),
                     });
                 }
             }
@@ -195,7 +217,100 @@ pub fn check_determinism(path: &str, source: &str) -> Vec<Diagnostic> {
             });
         }
     }
+    if path.contains("/src/") {
+        check_structure(path, &lines, &mut diagnostics);
+    }
     diagnostics
+}
+
+/// The **deliver-choke** and **fork-stream** rules over the non-test
+/// code of one crate source file.
+///
+/// * deliver-choke: a statement that names both `schedule` and
+///   `Event::Deliver` must sit in [`WORLD_FILE`]'s `fn transmit`, so
+///   every cross-node effect of a handler goes through the transport
+///   (latency, faults, traffic accounting). Escape:
+///   `det:allow(deliver-choke)` on the statement's first line, the
+///   `Event::Deliver` line, or the line above either.
+/// * fork-stream: every `.fork(k)` takes an integer literal, and each
+///   literal stream is forked from exactly one fn in the file, so no two
+///   subsystems ever draw from one stream. Escape for a non-literal id:
+///   `det:allow(fork-stream)`.
+fn check_structure(path: &str, lines: &[Line], diagnostics: &mut Vec<Diagnostic>) {
+    let code = Code::of(lines);
+    let text = code.text.as_str();
+    let bytes = text.as_bytes();
+    let fns = parse_fns(text);
+    let diag = |offset: usize, rule: &'static str, message: String| Diagnostic {
+        path: path.to_string(),
+        line: code.line_index(offset) + 1,
+        rule,
+        message,
+    };
+
+    for pos in find_words(text, "Event::Deliver") {
+        let mut start = pos;
+        while start > 0 && !matches!(bytes[start - 1], b';' | b'{' | b'}') {
+            start -= 1;
+        }
+        while bytes[start].is_ascii_whitespace() {
+            start += 1;
+        }
+        if !contains_word(&text[start..pos], "schedule")
+            || (path == WORLD_FILE && enclosing_fn(&fns, pos).is_some_and(|f| f.name == "transmit"))
+            || allowed(lines, code.line_index(start), "deliver-choke")
+            || allowed(lines, code.line_index(pos), "deliver-choke")
+        {
+            continue;
+        }
+        diagnostics.push(diag(
+            pos,
+            "deliver-choke",
+            "Event::Deliver scheduled outside World::transmit: handlers must send through the \
+             transport, which applies latency, faults and traffic accounting"
+                .to_string(),
+        ));
+    }
+
+    // stream id -> (owning fn, offset) of every literal fork site.
+    let mut streams: BTreeMap<u64, Vec<(&str, usize)>> = BTreeMap::new();
+    for (pos, _) in text.match_indices(".fork(") {
+        let open = pos + ".fork".len();
+        let arg = text[open + 1..skip_balanced(bytes, open) - 1].trim();
+        let literal = !arg.is_empty() && arg.bytes().all(|b| b.is_ascii_digit() || b == b'_');
+        if !literal {
+            if !allowed(lines, code.line_index(pos), "fork-stream") {
+                diagnostics.push(diag(
+                    pos,
+                    "fork-stream",
+                    format!(
+                        "rng fork with non-literal stream id `{arg}`: stream ids must be integer \
+                         literals so each stream's owner is visible in the source"
+                    ),
+                ));
+            }
+            continue;
+        }
+        let owner = enclosing_fn(&fns, pos).map_or("<top>", |f| f.name.as_str());
+        let stream = arg.replace('_', "").parse().unwrap_or(u64::MAX);
+        streams.entry(stream).or_default().push((owner, pos));
+    }
+    for (stream, sites) in &streams {
+        let owners: BTreeSet<&str> = sites.iter().map(|&(owner, _)| owner).collect();
+        if owners.len() > 1 {
+            let owners = owners.into_iter().collect::<Vec<_>>().join(", ");
+            for &(_, pos) in sites {
+                diagnostics.push(diag(
+                    pos,
+                    "fork-stream",
+                    format!(
+                        "rng stream {stream} is forked from several fns ({owners}): each stream \
+                         id must have exactly one owner per file"
+                    ),
+                ));
+            }
+        }
+    }
 }
 
 /// Integer types a float expression must not be `as`-cast into.
@@ -324,7 +439,7 @@ mod tests {
     fn scoped_threads_do_not_trip_the_spawn_rule() {
         let scoped = "std::thread::scope(|scope| {\n    let h = scope.spawn(move || work());\n});\n";
         assert!(rules_hit(scoped).is_empty());
-        assert!(rules_hit("let threads = pool::reserve(want);").is_empty());
+        assert!(rules_hit("let runs = pool::map_ordered(&items, lanes, run);").is_empty());
     }
 
     #[test]
@@ -403,6 +518,53 @@ mod tests {
         let src = "// det:allow(lossy-float-cast): floor of a bounded mean\n\
                    let n = plan.mean.floor() as u64;\n";
         assert!(rules_hit(src).is_empty());
+    }
+
+    fn world_rules_hit(source: &str) -> Vec<(&'static str, usize)> {
+        check_determinism(WORLD_FILE, source).into_iter().map(|d| (d.rule, d.line)).collect()
+    }
+
+    #[test]
+    fn deliver_is_scheduled_only_inside_transmit() {
+        let transmit =
+            "fn transmit(&mut self) {\n    self.events.schedule(t, Event::Deliver { to });\n}\n";
+        assert!(world_rules_hit(transmit).is_empty());
+        let bypass = format!(
+            "{transmit}fn shortcut(&mut self) {{\n    self.events.schedule(\n        t,\n        \
+             Event::Deliver {{ to }},\n    );\n}}\n"
+        );
+        assert_eq!(world_rules_hit(&bypass), [("deliver-choke", 7)]);
+        // Matching on a Deliver is not scheduling one, and `transmit`
+        // only counts in the world's own file.
+        assert!(world_rules_hit("fn f(e: Event) { matches!(e, Event::Deliver { .. }) }").is_empty());
+        assert_eq!(rules_hit(transmit), [] as [&str; 0], "no src/ path, no structural rules");
+        let elsewhere = check_determinism("crates/core/src/other.rs", transmit);
+        assert_eq!(elsewhere.iter().map(|d| d.rule).collect::<Vec<_>>(), ["deliver-choke"]);
+        let escaped = format!(
+            "{transmit}fn replay(&mut self) {{\n    // det:allow(deliver-choke): model replay\n    \
+             self.events.schedule(t, Event::Deliver {{ to }});\n}}\n"
+        );
+        assert!(world_rules_hit(&escaped).is_empty());
+    }
+
+    #[test]
+    fn fork_streams_are_literal_and_singly_owned() {
+        let owned = "fn a(&mut self) { let r = self.rng.fork(1); let s = self.rng.fork(1); }\n\
+                     fn b(&mut self) { let r = self.rng.fork(2); }\n";
+        assert!(world_rules_hit(owned).is_empty());
+        let shared = "fn a(&mut self) { let r = self.rng.fork(1_0); }\n\
+                      fn b(&mut self) { let r = self.rng.fork(10); }\n";
+        assert_eq!(world_rules_hit(shared), [("fork-stream", 1), ("fork-stream", 2)]);
+        assert_eq!(world_rules_hit("fn a(k: u64) { rng.fork(k + 1); }"), [("fork-stream", 1)]);
+        let tests = "fn a() { rng.fork(1); }\n#[cfg(test)]\nmod tests {\n    fn b() { rng.fork(1); }";
+        assert!(world_rules_hit(tests).is_empty(), "unit-test modules are cut");
+    }
+
+    #[test]
+    fn world_file_refuses_escaped_hash_collections() {
+        let src = "// det:allow(hash-collections): cache\nlet m: HashMap<u32, u32> = x;\n";
+        assert_eq!(world_rules_hit(src), [("handler-collections", 2)]);
+        assert!(check_determinism("crates/core/src/gossip.rs", src).is_empty());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! raw strings (`r"…"`, `r#"…"#`, any hash depth), byte strings, char
 //! literals (including `'\''` escapes) vs. lifetimes (`'a`), and
 //! doc-comment forms of all of the above.
+//!
+//! On top of the channels sit the few structural helpers the
+//! `deliver-choke` and `fork-stream` rules need: the non-test code of a
+//! file as one string ([`Code`]), word search ([`find_words`]) and a
+//! shallow `fn` parser ([`parse_fns`], [`enclosing_fn`]).
+
+use crate::source::skip_balanced;
+use std::ops::Range;
 
 /// One physical source line, split into channels.
 #[derive(Debug, Default, Clone)]
@@ -211,26 +219,134 @@ fn char_literal_end(bytes: &[char], pos: usize) -> Option<usize> {
     }
 }
 
-/// Whether `needle` occurs in `haystack` delimited by non-identifier
-/// characters on both sides (a poor man's word-boundary match).
+/// Byte offsets of every occurrence of `needle` in `haystack` delimited
+/// by non-identifier characters on both sides (a poor man's
+/// word-boundary match).
+pub fn find_words<'a>(haystack: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    haystack.match_indices(needle).map(|(at, _)| at).filter(move |&at| {
+        !haystack[..at].chars().next_back().is_some_and(ident)
+            && !haystack[at + needle.len()..].chars().next().is_some_and(ident)
+    })
+}
+
+/// Whether `needle` occurs in `haystack` as a whole word.
 pub fn contains_word(haystack: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(found) = haystack[start..].find(needle) {
-        let at = start + found;
-        let before_ok = at == 0
-            || !haystack[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + needle.len();
-        let after_ok = after >= haystack.len()
-            || !haystack[after..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
+    find_words(haystack, needle).next().is_some()
+}
+
+/// The code channel of a file's non-test lines joined into one string,
+/// so byte offsets span lines. The cut falls at the first
+/// `#[cfg(test)]` followed by a `mod` within two lines: a unit-test
+/// module drives worlds, it does not define them, while a
+/// `#[cfg(test)] pub fn helper()` mid-impl stays.
+pub struct Code {
+    pub text: String,
+    /// Byte offset where each line starts in `text`.
+    line_starts: Vec<usize>,
+}
+
+impl Code {
+    pub fn of(lines: &[Line]) -> Code {
+        let cut = (0..lines.len())
+            .find(|&i| {
+                lines[i].code.contains("#[cfg(test)]")
+                    && lines[i..(i + 3).min(lines.len())].iter().any(|l| l.code.contains("mod "))
+            })
+            .unwrap_or(lines.len());
+        let mut text = String::new();
+        let mut line_starts = Vec::with_capacity(cut);
+        for line in &lines[..cut] {
+            line_starts.push(text.len());
+            text.push_str(&line.code);
+            text.push('\n');
         }
-        start = at + needle.len();
+        Code { text, line_starts }
     }
-    false
+
+    /// The 0-based index of the line holding byte `offset`.
+    pub fn line_index(&self, offset: usize) -> usize {
+        self.line_starts.partition_point(|&s| s <= offset).saturating_sub(1)
+    }
+}
+
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+fn skip_ws(bytes: &[u8], mut p: usize) -> usize {
+    while p < bytes.len() && bytes[p].is_ascii_whitespace() {
+        p += 1;
+    }
+    p
+}
+
+/// A parsed `fn`: its name and the byte range of its `{ … }` body.
+pub struct FnItem {
+    pub name: String,
+    pub sig_start: usize,
+    pub body: Range<usize>,
+}
+
+/// Finds every `fn` with a body (declarations are skipped). Generic
+/// parameter lists are crossed with an angle-bracket depth scan that
+/// ignores the `>` of `->` (so `fn f<F: Fn() -> bool>` parses).
+pub fn parse_fns(code: &str) -> Vec<FnItem> {
+    let bytes = code.as_bytes();
+    let mut fns = Vec::new();
+    for pos in find_words(code, "fn") {
+        let mut p = skip_ws(bytes, pos + 2);
+        let name_start = p;
+        while p < bytes.len() && is_ident(bytes[p]) {
+            p += 1;
+        }
+        if p == name_start {
+            continue;
+        }
+        let name = code[name_start..p].to_string();
+        p = skip_ws(bytes, p);
+        if p < bytes.len() && bytes[p] == b'<' {
+            let mut depth = 0i32;
+            while p < bytes.len() {
+                match bytes[p] {
+                    b'<' => depth += 1,
+                    b'>' if p > 0 && bytes[p - 1] == b'-' => {}
+                    b'>' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            p += 1;
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                p += 1;
+            }
+        }
+        while p < bytes.len() && bytes[p] != b'(' && bytes[p] != b'{' && bytes[p] != b';' {
+            p += 1;
+        }
+        if p >= bytes.len() || bytes[p] != b'(' {
+            continue;
+        }
+        p = skip_balanced(bytes, p);
+        while p < bytes.len() && bytes[p] != b'{' && bytes[p] != b';' {
+            p += 1;
+        }
+        if p >= bytes.len() || bytes[p] == b';' {
+            continue;
+        }
+        let end = skip_balanced(bytes, p);
+        fns.push(FnItem { name, sig_start: pos, body: p..end });
+    }
+    fns
+}
+
+/// The innermost function containing `offset`.
+pub fn enclosing_fn(fns: &[FnItem], offset: usize) -> Option<&FnItem> {
+    fns.iter()
+        .filter(|f| f.sig_start <= offset && offset < f.body.end)
+        .min_by_key(|f| f.body.end - f.sig_start)
 }
 
 #[cfg(test)]
@@ -330,6 +446,29 @@ mod tests {
     }
 
     #[test]
+    fn fn_parser_crosses_generics_and_skips_declarations() {
+        let src = "fn pick<F: Fn() -> bool>(f: F) { body(); }\nfn decl();\nfn plain() { x(); }";
+        let code = Code::of(&split_channels(src));
+        let fns = parse_fns(&code.text);
+        let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["pick", "plain"]);
+        assert!(code.text[fns[0].body.clone()].contains("body()"));
+        let inner = code.text.find("x()").unwrap();
+        assert_eq!(enclosing_fn(&fns, inner).map(|f| f.name.as_str()), Some("plain"));
+        assert_eq!(code.line_index(inner), 2);
+    }
+
+    #[test]
+    fn cfg_test_cut_spares_mid_impl_test_helpers() {
+        let src = "impl W {\n    #[cfg(test)]\n    pub fn capacity(&self) -> usize { 1 }\n}\n\
+                   fn late() {}\n#[cfg(test)]\nmod tests {\n    fn gone() {}\n}\n";
+        let code = Code::of(&split_channels(src));
+        assert!(code.text.contains("capacity"), "mid-impl helper must survive the cut");
+        assert!(code.text.contains("late"));
+        assert!(!code.text.contains("gone"), "test module must be cut");
+    }
+
+    #[test]
     fn word_boundaries_respected() {
         assert!(contains_word("use std::collections::HashMap;", "HashMap"));
         assert!(!contains_word("type MyHashMap = ();", "HashMap"));
@@ -337,5 +476,7 @@ mod tests {
         assert!(contains_word("HashMap<K, V>", "HashMap"));
         assert!(contains_word("Instant::now()", "Instant"));
         assert!(!contains_word("SimInstant", "Instant"));
+        let code = "Event::DeliverDigest; Event::Deliver {}; Event::Deliver";
+        assert_eq!(find_words(code, "Event::Deliver").collect::<Vec<_>>(), [22, 41]);
     }
 }

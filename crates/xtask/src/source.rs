@@ -1,11 +1,8 @@
-//! Shared source-walking and expression-scan machinery.
+//! Source walking and bracket scans for the determinism lint.
 //!
-//! Both static passes — the determinism lint (`cargo xtask lint`,
-//! [`crate::rules`]) and the effect-map analyzer (`cargo xtask effects`,
-//! [`crate::effects`]) — walk the same sim-reachable file set and lean on
-//! the same balanced-bracket expression scan. This module is the single
-//! home for both, so the two gates can never drift apart on *what* they
-//! scan or *how* they recover an expression.
+//! Which files `cargo xtask lint` ([`crate::rules`]) scans, and the two
+//! balanced-bracket scans its rules use to recover an expression or skip
+//! a group.
 
 use std::path::{Path, PathBuf};
 
@@ -69,16 +66,6 @@ pub fn sim_reachable_sources(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The `src/` sources of one workspace crate, in sorted order (the
-/// effect-map analyzer scans crate impls only — integration tests under
-/// `tests/` drive worlds, they do not define handler code).
-pub fn crate_sources(root: &Path, name: &str) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates").join(name).join("src"), &mut files);
-    files.sort();
-    files
-}
-
 /// The crate-root source of every workspace member (crates/* and
 /// vendor/*), in sorted order.
 pub fn crate_roots(root: &Path) -> Vec<PathBuf> {
@@ -124,9 +111,7 @@ pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// at a top-level `;`, `,`, `=` or an unmatched opening bracket.
 ///
 /// This is how the lossy-cast rule recovers `(q * len as f64).ceil()`
-/// from `… as usize`, and how the effects pass bounds field-access
-/// chains; both gates share the exact same notion of "the expression to
-/// the left".
+/// from `… as usize`.
 pub fn expr_start(code: &str, at: usize) -> usize {
     let bytes = code.as_bytes();
     let mut depth = 0i32;
