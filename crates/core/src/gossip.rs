@@ -155,7 +155,7 @@ pub struct GossipScheduler {
 impl GossipScheduler {
     /// Builds a gossiping grid; deterministic in the seed, with the same
     /// node distributions as the ARiA [`crate::World`] and a degree-4
-    /// random overlay for gossip peering.
+    /// random overlay for gossip peering (complete below five nodes).
     pub fn new(
         nodes: usize,
         policies: PolicyMix,
@@ -167,7 +167,8 @@ impl GossipScheduler {
         let mut overlay_rng = rng.fork(1);
         let mut profile_rng = rng.fork(2);
         let latency = LatencyModel::default();
-        let topology = builders::random_regular(nodes, 4, &latency, &mut overlay_rng);
+        let degree = 4.min(nodes.saturating_sub(1));
+        let topology = builders::random_regular(nodes, degree, &latency, &mut overlay_rng);
         let generator = ProfileGenerator::paper();
         let profiles: Vec<NodeProfile> =
             (0..nodes).map(|_| generator.generate(&mut profile_rng)).collect();

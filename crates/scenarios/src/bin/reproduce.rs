@@ -3,9 +3,10 @@
 //! ```text
 //! reproduce [IDS...] [--seeds N] [--scale NODES JOBS] [--workers W]
 //!
-//! IDS      table1 table2 fig1 .. fig10 all    (default: all)
+//! IDS      table1 table2 fig1 .. fig10 baselines all (default: all)
 //! --seeds  number of seeds per scenario       (default: 10, paper value)
-//! --scale  shrink the grid for quick runs     (default: paper scale)
+//! --scale  shrink the grid for quick runs     (default: paper scale;
+//!          at least `Runner::MIN_NODES` = 4 nodes)
 //! --workers lanes, the calling thread included (default: all cores)
 //! ```
 //!
@@ -44,10 +45,12 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => {
                 let nodes = iter.next().ok_or("--scale needs NODES and JOBS")?;
                 let jobs = iter.next().ok_or("--scale needs NODES and JOBS")?;
-                args.scale = Some((
-                    nodes.parse().map_err(|_| format!("bad node count: {nodes}"))?,
-                    jobs.parse().map_err(|_| format!("bad job count: {jobs}"))?,
-                ));
+                let nodes: usize = nodes.parse().map_err(|_| format!("bad node count: {nodes}"))?;
+                if nodes < Runner::MIN_NODES {
+                    return Err(format!("--scale needs at least {} nodes", Runner::MIN_NODES));
+                }
+                args.scale =
+                    Some((nodes, jobs.parse().map_err(|_| format!("bad job count: {jobs}"))?));
             }
             "--out" => {
                 let dir = iter.next().ok_or("--out needs a directory")?;
@@ -114,26 +117,24 @@ fn main() -> ExitCode {
     }
     let total = args.ids.len();
     let mut campaign = Campaign::new(runner, seeds);
+    // One fan-out runs every simulation the requested artifacts read;
+    // rendering them below only reads the campaign's caches.
+    progress.report(&Progress::new("reproduce", "running the simulations"));
+    if let Err(id) = campaign.prepare(&args.ids) {
+        eprintln!("unknown artifact id: {id} (expected table1, table2, fig1..fig10, baselines, all)");
+        return ExitCode::FAILURE;
+    }
     for (done, id) in args.ids.iter().enumerate() {
         progress.report(&Progress::new("reproduce", format!("rendering {id}")).with_step(done + 1, total));
-        match campaign.render(id) {
-            Some(output) => {
-                println!("{output}");
-                if let Some(dir) = &args.out {
-                    let path = dir.join(format!("{}.txt", id.to_ascii_lowercase()));
-                    if let Err(error) = std::fs::write(&path, &output) {
-                        eprintln!("cannot write {}: {error}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    progress.report(&Progress::new("reproduce", format!("wrote {}", path.display())));
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown artifact id: {id} (expected table1, table2, fig1..fig10, baselines, all)"
-                );
+        let output = campaign.render(id).expect("prepare accepted every id");
+        println!("{output}");
+        if let Some(dir) = &args.out {
+            let path = dir.join(format!("{}.txt", id.to_ascii_lowercase()));
+            if let Err(error) = std::fs::write(&path, &output) {
+                eprintln!("cannot write {}: {error}", path.display());
                 return ExitCode::FAILURE;
             }
+            progress.report(&Progress::new("reproduce", format!("wrote {}", path.display())));
         }
     }
     progress.report(&Progress::new("reproduce", format!("done ({total} artifact(s))")));

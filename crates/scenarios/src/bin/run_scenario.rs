@@ -17,9 +17,9 @@
 //! cargo run --release -p aria-scenarios --bin run-scenario -- iMixed --seed 3 --out /tmp/imixed
 //! ```
 
-use aria_core::World;
-use aria_scenarios::Scenario;
-use aria_workload::{JobGenerator, SubmissionSchedule};
+use aria_core::FaultPlan;
+use aria_probe::NullProbe;
+use aria_scenarios::{Runner, Scenario};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -45,10 +45,11 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => {
                 let nodes = iter.next().ok_or("--scale needs NODES and JOBS")?;
                 let jobs = iter.next().ok_or("--scale needs NODES and JOBS")?;
-                scale = Some((
-                    nodes.parse().map_err(|_| format!("bad node count: {nodes}"))?,
-                    jobs.parse().map_err(|_| format!("bad job count: {jobs}"))?,
-                ));
+                let nodes: usize = nodes.parse().map_err(|_| format!("bad node count: {nodes}"))?;
+                if nodes < Runner::MIN_NODES {
+                    return Err(format!("--scale needs at least {} nodes", Runner::MIN_NODES));
+                }
+                scale = Some((nodes, jobs.parse().map_err(|_| format!("bad job count: {jobs}"))?));
             }
             "--out" => out = Some(PathBuf::from(iter.next().ok_or("--out needs a directory")?)),
             "--help" | "-h" => {
@@ -78,28 +79,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut config = args.scenario.world_config();
-    let mut schedule = args.scenario.submission_schedule();
-    if let Some((nodes, jobs)) = args.scale {
-        let shrink = nodes as f64 / config.nodes as f64;
-        // det:allow(lossy-float-cast): shrink <= 1, so round(len * shrink) fits
-        let keep = (config.joins.len() as f64 * shrink).round() as usize;
-        config.nodes = nodes;
-        config.joins.truncate(keep);
-        config.overlay_path_length = config.overlay_path_length.min((nodes as f64).log2());
-        schedule = SubmissionSchedule::new(schedule.start(), schedule.interval(), jobs);
-    }
-
+    let runner = match args.scale {
+        Some((nodes, jobs)) => Runner::scaled(nodes, jobs),
+        None => Runner::paper(),
+    };
+    let mut world = runner.build_world(args.scenario, args.seed, FaultPlan::none(), NullProbe);
     eprintln!(
         "running {} (seed {}, {} nodes, {} jobs)...",
         args.scenario,
         args.seed,
-        config.nodes,
-        schedule.count()
+        world.config().nodes,
+        runner.schedule_for(args.scenario).count()
     );
-    let mut world = World::new(config, args.seed);
-    let mut jobs = JobGenerator::new(args.scenario.job_config());
-    world.submit_schedule(&schedule, &mut jobs);
     world.run();
 
     let metrics = world.metrics();

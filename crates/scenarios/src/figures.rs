@@ -7,20 +7,28 @@
 
 use crate::catalog::Scenario;
 use crate::plot::ascii_chart;
-use crate::runner::{Runner, ScenarioResult};
-use aria_metrics::TrafficClass;
-use aria_sim::TimeSeries;
+use crate::runner::{self, Pair, RunStats, Runner, ScenarioResult};
+use aria_metrics::{MetricsCollector, TrafficClass};
+use aria_sim::{Summary, TimeSeries};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A figure/table reproduction campaign with scenario-result caching:
-/// figures sharing scenarios (e.g. Figures 1-3) pay for each simulation
-/// only once.
+/// Every artifact [`Campaign::all`] renders, in order.
+const ARTIFACTS: [&str; 13] = [
+    "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig10", "baselines",
+];
+
+/// A figure/table reproduction campaign with result caching: figures
+/// sharing scenarios (e.g. Figures 1-3) pay for each simulation only
+/// once, and the baselines run at most once per campaign.
 #[derive(Debug)]
 pub struct Campaign {
     runner: Runner,
     seeds: Vec<u64>,
     cache: BTreeMap<&'static str, ScenarioResult>,
+    /// Per-seed baseline runs, seeds ascending; empty until first needed.
+    baseline_runs: BTreeMap<Baseline, Vec<BaselineRun>>,
 }
 
 impl Campaign {
@@ -31,22 +39,108 @@ impl Campaign {
     /// Panics if `seeds` is empty.
     pub fn new(runner: Runner, seeds: Vec<u64>) -> Self {
         assert!(!seeds.is_empty(), "at least one seed is required");
-        Campaign { runner, seeds, cache: BTreeMap::new() }
+        Campaign { runner, seeds, cache: BTreeMap::new(), baseline_runs: BTreeMap::new() }
+    }
+
+    /// Runs everything the given artifacts read that is not cached yet,
+    /// in one fan-out, so that rendering them afterwards only reads the
+    /// caches. Ids are those of [`Campaign::render`]. Returns the first
+    /// unknown id, before running anything, as the error.
+    pub fn prepare<S: AsRef<str>>(&mut self, ids: &[S]) -> Result<(), String> {
+        let mut scenarios = Vec::new();
+        let mut baselines = false;
+        for id in ids {
+            let id = id.as_ref().to_ascii_lowercase();
+            let expanded = if id == "all" { ARTIFACTS.to_vec() } else { vec![id.as_str()] };
+            for id in expanded {
+                let (reads, needs_baselines) = Self::reads(id).ok_or_else(|| id.to_string())?;
+                scenarios.extend_from_slice(reads);
+                baselines |= needs_baselines;
+            }
+        }
+        self.run_missing(&scenarios, baselines);
+        Ok(())
+    }
+
+    /// The catalog scenarios an artifact renders and whether it reads
+    /// the baselines (`None` for unknown or composite ids).
+    fn reads(id: &str) -> Option<(&'static [Scenario], bool)> {
+        Some(match id {
+            "table1" | "table2" => (&[], false),
+            "fig1" | "fig2" | "fig3" => (&Self::POLICY_SCENARIOS, false),
+            "fig4" => (&Self::DEADLINE_SCENARIOS, false),
+            "fig5" => (&Self::EXPANDING_SCENARIOS, false),
+            "fig6" | "fig7" => (&Self::LOAD_SCENARIOS, false),
+            "fig8" => (&Self::RESCHEDULING_SCENARIOS, false),
+            "fig9" => (&Self::ACCURACY_SCENARIOS, false),
+            "fig10" => (&Self::OVERHEAD_SCENARIOS, false),
+            "baselines" => (&[Scenario::IMixed], true),
+            _ => return None,
+        })
+    }
+
+    /// Runs, as one fan-out, every `(scenario, seed)` pair of the
+    /// uncached `scenarios` and, if `baselines` is set and they are not
+    /// cached yet, every `(baseline, seed)` pair. Baseline items go
+    /// first, gossip leading, because gossip's runs are the longest items;
+    /// results come back in item order, so the caches are the same at any
+    /// lane count.
+    fn run_missing(&mut self, scenarios: &[Scenario], baselines: bool) {
+        let mut missing: Vec<Scenario> = Vec::new();
+        for &scenario in scenarios {
+            if !self.cache.contains_key(scenario.name()) && !missing.contains(&scenario) {
+                missing.push(scenario);
+            }
+        }
+        let kinds: &[Baseline] =
+            if baselines && self.baseline_runs.is_empty() { &Baseline::ALL } else { &[] };
+        let mut seeds = self.seeds.clone();
+        seeds.sort_unstable();
+        let items: Vec<Item> = kinds
+            .iter()
+            .flat_map(|&kind| seeds.iter().map(move |&seed| Item::Baseline(kind, seed)))
+            .chain(runner::pairs(&missing, &self.seeds).into_iter().map(Item::Catalog))
+            .collect();
+        if items.is_empty() {
+            return;
+        }
+
+        let runner = self.runner;
+        let done = aria_sim::pool::map_ordered(&items, runner.lanes(), |&item| match item {
+            Item::Baseline(kind, seed) => Done::Baseline(kind, kind.run(&runner, seed)),
+            Item::Catalog(pair) => Done::Catalog(runner.run_pair(pair)),
+        });
+        let mut runs = Vec::new();
+        for result in done {
+            match result {
+                Done::Baseline(kind, run) => self.baseline_runs.entry(kind).or_default().push(run),
+                Done::Catalog(run) => runs.push(run),
+            }
+        }
+        for result in runner::merge_runs(&missing, runs) {
+            self.cache.insert(result.scenario.name(), result);
+        }
     }
 
     /// Runs any scenarios not yet cached and returns results in order.
     fn results(&mut self, scenarios: &[Scenario]) -> Vec<ScenarioResult> {
-        let missing: Vec<Scenario> = scenarios
-            .iter()
-            .copied()
-            .filter(|s| !self.cache.contains_key(s.name()))
-            .collect();
-        if !missing.is_empty() {
-            for result in self.runner.run_many(&missing, &self.seeds) {
-                self.cache.insert(result.scenario.name(), result);
-            }
-        }
+        self.run_missing(scenarios, false);
         scenarios.iter().map(|s| self.cache[s.name()].clone()).collect()
+    }
+
+    /// One baseline's per-seed runs merged: completion and waiting
+    /// summaries, and the mean per-seed count.
+    fn baseline(&self, kind: Baseline) -> (Summary, Summary, f64) {
+        let runs = &self.baseline_runs[&kind];
+        let mut completion = Summary::new();
+        let mut waiting = Summary::new();
+        let mut count = 0.0;
+        for run in runs {
+            completion.merge(&run.completion);
+            waiting.merge(&run.waiting);
+            count += run.count;
+        }
+        (completion, waiting, count / runs.len() as f64)
     }
 
     /// Table I: protocol messages and their fields/sizes.
@@ -81,6 +175,44 @@ impl Campaign {
         Scenario::IFcfs,
         Scenario::ISjf,
         Scenario::IMixed,
+    ];
+
+    /// The deadline scenarios of Figure 4.
+    const DEADLINE_SCENARIOS: [Scenario; 4] =
+        [Scenario::Deadline, Scenario::IDeadline, Scenario::DeadlineH, Scenario::IDeadlineH];
+
+    /// The expanding-network scenarios of Figure 5.
+    const EXPANDING_SCENARIOS: [Scenario; 2] = [Scenario::Expanding, Scenario::IExpanding];
+
+    /// The rescheduling-policy scenarios of Figure 8.
+    const RESCHEDULING_SCENARIOS: [Scenario; 5] = [
+        Scenario::IInform1,
+        Scenario::IMixed,
+        Scenario::IInform4,
+        Scenario::IInform15m,
+        Scenario::IInform30m,
+    ];
+
+    /// The ERT-accuracy scenarios of Figure 9.
+    const ACCURACY_SCENARIOS: [Scenario; 8] = [
+        Scenario::Precise,
+        Scenario::IPrecise,
+        Scenario::Mixed,
+        Scenario::IMixed,
+        Scenario::Accuracy25,
+        Scenario::IAccuracy25,
+        Scenario::AccuracyBad,
+        Scenario::IAccuracyBad,
+    ];
+
+    /// The representative scenarios of Figure 10.
+    const OVERHEAD_SCENARIOS: [Scenario; 6] = [
+        Scenario::Mixed,
+        Scenario::IMixed,
+        Scenario::IInform1,
+        Scenario::IInform4,
+        Scenario::IExpanding,
+        Scenario::IDeadline,
     ];
 
     /// The six load scenarios shared by Figures 6-7.
@@ -118,13 +250,7 @@ impl Campaign {
 
     /// Figure 4: deadline scheduling performance.
     pub fn fig4(&mut self) -> String {
-        let scenarios = [
-            Scenario::Deadline,
-            Scenario::IDeadline,
-            Scenario::DeadlineH,
-            Scenario::IDeadlineH,
-        ];
-        let results = self.results(&scenarios);
+        let results = self.results(&Self::DEADLINE_SCENARIOS);
         let mut out = String::from(
             "# Figure 4: deadline scheduling performance\nscenario,missed_deadlines,avg_lateness_s,avg_missed_time_s\n",
         );
@@ -143,7 +269,7 @@ impl Campaign {
 
     /// Figure 5: idle nodes over time in an expanding network.
     pub fn fig5(&mut self) -> String {
-        let results = self.results(&[Scenario::Expanding, Scenario::IExpanding]);
+        let results = self.results(&Self::EXPANDING_SCENARIOS);
         let mut out = String::from("# Figure 5: idle nodes over time (expanding network)\n");
         out.push_str(&series_block(&results, |r| r.avg_idle_series()));
         out
@@ -165,45 +291,20 @@ impl Campaign {
 
     /// Figure 8: job completion time across rescheduling policies.
     pub fn fig8(&mut self) -> String {
-        let scenarios = [
-            Scenario::IInform1,
-            Scenario::IMixed,
-            Scenario::IInform4,
-            Scenario::IInform15m,
-            Scenario::IInform30m,
-        ];
-        let results = self.results(&scenarios);
+        let results = self.results(&Self::RESCHEDULING_SCENARIOS);
         completion_block("# Figure 8: job completion time (rescheduling policies) (s)\n", &results)
     }
 
     /// Figure 9: sensitivity to ERT accuracy.
     pub fn fig9(&mut self) -> String {
-        let scenarios = [
-            Scenario::Precise,
-            Scenario::IPrecise,
-            Scenario::Mixed,
-            Scenario::IMixed,
-            Scenario::Accuracy25,
-            Scenario::IAccuracy25,
-            Scenario::AccuracyBad,
-            Scenario::IAccuracyBad,
-        ];
-        let results = self.results(&scenarios);
+        let results = self.results(&Self::ACCURACY_SCENARIOS);
         completion_block("# Figure 9: sensitivity to ERT accuracy (s)\n", &results)
     }
 
     /// Figure 10: network overhead per message type for representative
     /// scenarios.
     pub fn fig10(&mut self) -> String {
-        let scenarios = [
-            Scenario::Mixed,
-            Scenario::IMixed,
-            Scenario::IInform1,
-            Scenario::IInform4,
-            Scenario::IExpanding,
-            Scenario::IDeadline,
-        ];
-        let results = self.results(&scenarios);
+        let results = self.results(&Self::OVERHEAD_SCENARIOS);
         let mut out = String::from(
             "# Figure 10: network overhead comparison\nscenario,request_MB,accept_MB,inform_MB,assign_MB,total_MB,per_node_MB,bandwidth_bps\n",
         );
@@ -234,15 +335,8 @@ impl Campaign {
     /// multiple simultaneous requests (\[13\]), on statistically identical
     /// workloads.
     pub fn baselines(&mut self) -> String {
-        use aria_core::{CentralScheduler, GossipScheduler, MultiRequestScheduler, PolicyMix};
-        use aria_sim::Summary;
-
-        let aria = self.results(&[Scenario::IMixed]).remove(0);
-        let config = Scenario::IMixed.world_config();
-        let (nodes, horizon, period) =
-            (self.runner.nodes_or(config.nodes), config.horizon, config.sample_period);
-        let schedule = self.runner.schedule_for(Scenario::IMixed);
-
+        self.run_missing(&[Scenario::IMixed], true);
+        let aria = &self.cache[Scenario::IMixed.name()];
         let mut out = String::from(
             "# Baselines: ARiA vs centralized / gossip [25] / multi-request [13]
 scheduler,completion_s,waiting_s,messages
@@ -253,106 +347,40 @@ scheduler,completion_s,waiting_s,messages
             "ARiA(iMixed),{:.0},{:.0},{:.0}",
             aria.completion().mean(),
             aria.waiting().mean(),
-            aria.runs.iter().map(|r| r.traffic.total_messages() as f64).sum::<f64>()
-                / aria.runs.len() as f64,
+            aria.avg_over_runs(|r| r.traffic.total_messages() as f64),
         );
-
-        let mut central_completion = Summary::new();
-        let mut central_waiting = Summary::new();
-        let mut gossip_completion = Summary::new();
-        let mut gossip_waiting = Summary::new();
-        let mut gossip_msgs = 0.0;
-        let mut multi_completion = Summary::new();
-        let mut multi_waiting = Summary::new();
-        let mut multi_revoked = 0.0;
-        for &seed in &self.seeds {
-            let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut central =
-                CentralScheduler::new(nodes, PolicyMix::paper_mixed(), horizon, period, seed);
-            central.submit_schedule(&schedule, &mut jobs);
-            central.run();
-            central_completion.merge(&central.metrics().completion_summary());
-            central_waiting.merge(&central.metrics().waiting_summary());
-
-            let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut gossip =
-                GossipScheduler::new(nodes, PolicyMix::paper_mixed(), horizon, period, seed);
-            gossip.submit_schedule(&schedule, &mut jobs);
-            gossip.run();
-            gossip_completion.merge(&gossip.metrics().completion_summary());
-            gossip_waiting.merge(&gossip.metrics().waiting_summary());
-            gossip_msgs += gossip.metrics().traffic().total_messages() as f64;
-
-            let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut multi = MultiRequestScheduler::new(
-                nodes,
-                PolicyMix::paper_mixed(),
-                3,
-                horizon,
-                period,
-                seed,
-            );
-            multi.submit_schedule(&schedule, &mut jobs);
-            multi.run();
-            multi_completion.merge(&multi.metrics().completion_summary());
-            multi_waiting.merge(&multi.metrics().waiting_summary());
-            multi_revoked += multi.revoked_replicas() as f64;
-        }
-        let n = self.seeds.len() as f64;
+        let (completion, waiting, _) = self.baseline(Baseline::Central);
+        let _ = writeln!(out, "central,{:.0},{:.0},0", completion.mean(), waiting.mean());
+        let (completion, waiting, messages) = self.baseline(Baseline::Gossip);
         let _ = writeln!(
             out,
-            "central,{:.0},{:.0},0",
-            central_completion.mean(),
-            central_waiting.mean()
+            "gossip,{:.0},{:.0},{messages:.0}",
+            completion.mean(),
+            waiting.mean()
         );
+        let (completion, waiting, revoked) = self.baseline(Baseline::MultiReq);
         let _ = writeln!(
             out,
-            "gossip,{:.0},{:.0},{:.0}",
-            gossip_completion.mean(),
-            gossip_waiting.mean(),
-            gossip_msgs / n,
-        );
-        let _ = writeln!(
-            out,
-            "multireq_k3,{:.0},{:.0},{:.0} revoked replicas",
-            multi_completion.mean(),
-            multi_waiting.mean(),
-            multi_revoked / n,
+            "multireq_k3,{:.0},{:.0},{revoked:.0} revoked replicas",
+            completion.mean(),
+            waiting.mean()
         );
         out
     }
 
-    /// All tables and figures, in order.
+    /// All tables and figures, in order, from one fan-out.
     pub fn all(&mut self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.table1());
-        out.push('\n');
-        out.push_str(&self.table2());
-        for (i, fig) in [
-            Self::fig1 as fn(&mut Self) -> String,
-            Self::fig2,
-            Self::fig3,
-            Self::fig4,
-            Self::fig5,
-            Self::fig6,
-            Self::fig7,
-            Self::fig8,
-            Self::fig9,
-            Self::fig10,
-            Self::baselines,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let _ = i;
-            out.push('\n');
-            out.push_str(&fig(self));
-        }
-        out
+        self.prepare(&ARTIFACTS).expect("every artifact id is known");
+        let rendered: Vec<String> = ARTIFACTS
+            .iter()
+            .map(|id| self.render(id).expect("every artifact id renders"))
+            .collect();
+        rendered.join("\n")
     }
 
-    /// Renders one artifact by its id (`table1`, `table2`, `fig1`..`fig10`
-    /// or `all`). Returns `None` for unknown ids.
+    /// Renders one artifact by its id (`table1`, `table2`, `fig1`..`fig10`,
+    /// `baselines` or `all`, case-insensitive), running whatever it reads
+    /// that [`Campaign::prepare`] has not. Returns `None` for unknown ids.
     pub fn render(&mut self, id: &str) -> Option<String> {
         let id = id.to_ascii_lowercase();
         Some(match id.as_str() {
@@ -373,6 +401,87 @@ scheduler,completion_s,waiting_s,messages
             _ => return None,
         })
     }
+}
+
+/// A baseline scheduler of the `# Baselines` table, run over the
+/// campaign's (scaled) iMixed workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Baseline {
+    Gossip,
+    Central,
+    MultiReq,
+}
+
+impl Baseline {
+    /// Fan-out order: gossip's runs are the longest items of a campaign.
+    const ALL: [Baseline; 3] = [Baseline::Gossip, Baseline::Central, Baseline::MultiReq];
+
+    /// Runs this baseline for one seed, on statistically the same
+    /// workload as the catalog's iMixed under `runner`'s scale.
+    fn run(self, runner: &Runner, seed: u64) -> BaselineRun {
+        use aria_core::{CentralScheduler, GossipScheduler, MultiRequestScheduler, PolicyMix};
+
+        let config = Scenario::IMixed.world_config();
+        let (nodes, horizon, period) =
+            (runner.nodes_or(config.nodes), config.horizon, config.sample_period);
+        let schedule = runner.schedule_for(Scenario::IMixed);
+        let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
+        let mix = PolicyMix::paper_mixed();
+        match self {
+            Baseline::Central => {
+                let mut central = CentralScheduler::new(nodes, mix, horizon, period, seed);
+                central.submit_schedule(&schedule, &mut jobs);
+                BaselineRun::of(central.run(), 0.0)
+            }
+            Baseline::Gossip => {
+                let mut gossip = GossipScheduler::new(nodes, mix, horizon, period, seed);
+                gossip.submit_schedule(&schedule, &mut jobs);
+                let metrics = gossip.run();
+                BaselineRun::of(metrics, metrics.traffic().total_messages() as f64)
+            }
+            Baseline::MultiReq => {
+                let mut multi = MultiRequestScheduler::new(nodes, mix, 3, horizon, period, seed);
+                multi.submit_schedule(&schedule, &mut jobs);
+                multi.run();
+                BaselineRun::of(multi.metrics(), multi.revoked_replicas() as f64)
+            }
+        }
+    }
+}
+
+/// What one baseline run over one seed adds to the `# Baselines` table.
+#[derive(Debug, Clone)]
+struct BaselineRun {
+    completion: Summary,
+    waiting: Summary,
+    /// Messages sent (gossip), revoked replicas (multireq) or 0.
+    count: f64,
+}
+
+impl BaselineRun {
+    fn of(metrics: &MetricsCollector, count: f64) -> Self {
+        BaselineRun {
+            completion: metrics.completion_summary(),
+            waiting: metrics.waiting_summary(),
+            count,
+        }
+    }
+}
+
+/// One item of a campaign's fan-out.
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    Baseline(Baseline, u64),
+    Catalog(Pair),
+}
+
+/// What one [`Item`] produced.
+// Nearly every item is a catalog run, so boxing the large variant would
+// only add an allocation per run.
+#[allow(clippy::large_enum_variant)]
+enum Done {
+    Baseline(Baseline, BaselineRun),
+    Catalog((usize, RunStats)),
 }
 
 /// Renders one time series per scenario as CSV (a `time_h` column then
@@ -481,6 +590,44 @@ mod tests {
         assert!(fig1.contains("iMixed"));
         assert!(fig3.contains("iMixed"));
         assert_eq!(c.cache.len(), 6);
+    }
+
+    #[test]
+    fn all_caches_the_baselines_it_renders() {
+        let mut c = campaign();
+        let all = c.all();
+        assert_eq!(c.cache.len(), 26);
+        assert_eq!(c.baseline_runs.values().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
+        let baselines = c.baselines();
+        assert_eq!(c.cache.len(), 26);
+        assert_eq!(c.baseline_runs.values().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
+        let block = &all[all.find("# Baselines").expect("all renders the baselines")..];
+        assert_eq!(block, baselines);
+    }
+
+    #[test]
+    fn a_prepared_artifact_renders_from_the_caches() {
+        for id in ARTIFACTS {
+            let mut c = campaign();
+            c.prepare(&[id]).unwrap();
+            let cached = (c.cache.len(), c.baseline_runs.values().map(Vec::len).sum::<usize>());
+            c.render(id).unwrap();
+            let after = (c.cache.len(), c.baseline_runs.values().map(Vec::len).sum::<usize>());
+            assert_eq!(after, cached, "{id}");
+        }
+    }
+
+    #[test]
+    fn prepare_rejects_unknown_ids_before_running_anything() {
+        let mut c = campaign();
+        assert_eq!(c.prepare(&["fig4", "Nope"]), Err("nope".to_string()));
+        assert!(c.cache.is_empty() && c.baseline_runs.is_empty());
+    }
+
+    #[test]
+    fn the_smallest_scaled_campaign_renders_every_artifact() {
+        let all = Campaign::new(Runner::scaled(Runner::MIN_NODES, 5), vec![1]).all();
+        assert!(all.contains("\ngossip,") && all.contains("\niDeadlineH,"), "{all}");
     }
 
     #[test]

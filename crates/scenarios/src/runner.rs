@@ -192,10 +192,24 @@ impl Runner {
         Runner { nodes: None, jobs: None, workers: aria_sim::pool::default_lanes() }
     }
 
+    /// The fewest nodes a scaled world may have. A scaled overlay's
+    /// average path bound is capped at `log2(nodes)`, and the overlay
+    /// builder needs a bound of at least 2 hops.
+    pub const MIN_NODES: usize = 4;
+
     /// A scaled-down runner with the given node and job counts
     /// (submission interval and horizon are kept, so load *per node*
     /// rises as the grid shrinks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is below [`Runner::MIN_NODES`].
     pub fn scaled(nodes: usize, jobs: usize) -> Self {
+        assert!(
+            nodes >= Self::MIN_NODES,
+            "a scaled world needs at least {} nodes, got {nodes}",
+            Self::MIN_NODES
+        );
         Runner { nodes: Some(nodes), jobs: Some(jobs), workers: aria_sim::pool::default_lanes() }
     }
 
@@ -380,31 +394,57 @@ impl Runner {
     }
 
     /// Runs several scenarios over the given seeds, fanning the
-    /// `(scenario, seed)` pairs out over up to `workers` lanes.
+    /// `(scenario, seed)` pairs out over up to `workers` lanes. The
+    /// results are identical at any lane count; only wall time changes.
     pub fn run_many(&self, scenarios: &[Scenario], seeds: &[u64]) -> Vec<ScenarioResult> {
-        let pairs: Vec<(usize, Scenario, u64)> = scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &s)| seeds.iter().map(move |&seed| (i, s, seed)))
-            .collect();
-
-        // Runs come back in pair order at any lane count, so only wall
-        // time depends on the lanes; each scenario's seeds then merge in
-        // ascending order, whatever order they were given in.
-        let mut runs = aria_sim::pool::map_ordered(&pairs, self.workers, |&(i, scenario, seed)| {
-            (i, self.run_once(scenario, seed))
+        let runs = aria_sim::pool::map_ordered(&pairs(scenarios, seeds), self.workers, |&pair| {
+            self.run_pair(pair)
         });
-        runs.sort_by_key(|(i, run)| (*i, run.seed));
-        let mut results: Vec<ScenarioResult> = scenarios
-            .iter()
-            .map(|&scenario| ScenarioResult { scenario, runs: Vec::new() })
-            .collect();
-        for (i, run) in runs {
-            results[i].runs.push(run);
-        }
-        results.retain(|result| !result.runs.is_empty()); // no seeds, no results
-        results
+        merge_runs(scenarios, runs)
     }
+
+    /// The lanes a fan-out over this runner may use, the calling thread
+    /// included.
+    pub(crate) fn lanes(&self) -> usize {
+        self.workers
+    }
+
+    /// Runs one pair from [`pairs`], keeping its scenario index.
+    pub(crate) fn run_pair(&self, (i, scenario, seed): Pair) -> (usize, RunStats) {
+        (i, self.run_once(scenario, seed))
+    }
+}
+
+/// One `(scenario, seed)` run of a fan-out, tagged with the scenario's
+/// index in the list it came from.
+pub(crate) type Pair = (usize, Scenario, u64);
+
+/// Every `(scenario, seed)` pair of a multi-seed run, scenario-major.
+pub(crate) fn pairs(scenarios: &[Scenario], seeds: &[u64]) -> Vec<Pair> {
+    scenarios
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &s)| seeds.iter().map(move |&seed| (i, s, seed)))
+        .collect()
+}
+
+/// Groups the runs of [`pairs`] into one result per scenario, in
+/// scenario order, each scenario's seeds ascending whatever order the
+/// runs arrive in. Scenarios with no runs (no seeds) are dropped.
+pub(crate) fn merge_runs(
+    scenarios: &[Scenario],
+    mut runs: Vec<(usize, RunStats)>,
+) -> Vec<ScenarioResult> {
+    runs.sort_by_key(|(i, run)| (*i, run.seed));
+    let mut results: Vec<ScenarioResult> = scenarios
+        .iter()
+        .map(|&scenario| ScenarioResult { scenario, runs: Vec::new() })
+        .collect();
+    for (i, run) in runs {
+        results[i].runs.push(run);
+    }
+    results.retain(|result| !result.runs.is_empty());
+    results
 }
 
 impl Default for Runner {
@@ -500,6 +540,12 @@ mod tests {
             let parallel = outcome(&tiny().workers(lanes).run(Scenario::Mixed, &[2, 1]));
             assert_eq!(serial, parallel, "{lanes} lanes");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 nodes, got 3")]
+    fn scaled_rejects_worlds_below_the_minimum() {
+        Runner::scaled(Runner::MIN_NODES - 1, 5);
     }
 
     #[test]

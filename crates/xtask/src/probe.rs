@@ -80,6 +80,9 @@ fn run_scenario(args: &[String]) -> ExitCode {
                     return fail("--scale needs NODES and JOBS");
                 };
                 match (n.parse(), j.parse()) {
+                    (Ok(n), Ok(_)) if n < Runner::MIN_NODES => {
+                        return fail(&format!("--scale needs at least {} nodes", Runner::MIN_NODES))
+                    }
                     (Ok(n), Ok(j)) => scale = Some((n, j)),
                     _ => return fail(&format!("--scale {n} {j}: not integers")),
                 }

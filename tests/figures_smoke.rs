@@ -8,15 +8,41 @@ fn campaign() -> Campaign {
     Campaign::new(Runner::scaled(50, 60), vec![1, 2])
 }
 
+/// Every artifact `all` renders, in order.
+const ARTIFACTS: [&str; 13] = [
+    "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig10", "baselines",
+];
+
 #[test]
 fn every_artifact_renders() {
     let mut c = campaign();
-    for id in
-        ["table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
-    {
+    for id in ARTIFACTS.iter().chain(&["all"]) {
         let out = c.render(id).unwrap_or_else(|| panic!("unknown id {id}"));
         assert!(!out.is_empty(), "{id} rendered empty");
         assert!(out.starts_with("# "), "{id} missing title: {out}");
+    }
+}
+
+/// A small campaign with its seeds out of order.
+fn small_campaign(workers: usize) -> Campaign {
+    Campaign::new(Runner::scaled(30, 10).workers(workers), vec![2, 1])
+}
+
+#[test]
+fn all_equals_its_artifacts_rendered_one_by_one() {
+    let all = small_campaign(2).all();
+    let mut c = small_campaign(2);
+    let one_by_one: Vec<String> =
+        ARTIFACTS.iter().map(|id| c.render(id).expect("known artifact")).collect();
+    assert_eq!(all, one_by_one.join("\n"));
+}
+
+#[test]
+fn all_is_identical_at_any_lane_count() {
+    let serial = small_campaign(1).all();
+    for lanes in [2, 4] {
+        assert_eq!(small_campaign(lanes).all(), serial, "{lanes} lanes");
     }
 }
 
